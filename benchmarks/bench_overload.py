@@ -232,9 +232,8 @@ def phase_offered_load(workload, requests, clients: int):
     stats = service.handle({"kind": "stats"})["result"]
     drained = (
         stats["admission"]["inflight"] == 0
-        and stats["admission"]["inflight_seconds"] == 0.0
-        and stats["overload"]["reserved_seconds"] == 0.0
-        and stats["overload"]["queued_seconds"] == 0.0
+        and stats["admission"]["reserved_seconds"] == 0.0
+        and stats["admission"]["queued_seconds"] == 0.0
     )
     replay_client = ServerClient(port=server.port, retries=4, max_retry_after=1.0)
     replays_identical = True
@@ -262,7 +261,7 @@ def phase_offered_load(workload, requests, clients: int):
         "health_probes": len(health_record),
         "health_p99_ms": (round(health_p99 * 1e3, 2)
                           if health_p99 is not None else None),
-        "server_state_seen": stats["overload"]["state"],
+        "server_state_seen": stats["admission"]["state"],
         "gates": {
             "goodput_positive": served > 0,
             "server_actually_shed": shed > 0,
@@ -311,8 +310,7 @@ def phase_transport_chaos(workload, requests, strikes: int):
     stats = service.handle({"kind": "stats"})["result"]
     drained = (
         stats["admission"]["inflight"] == 0
-        and stats["admission"]["inflight_seconds"] == 0.0
-        and stats["overload"]["reserved_seconds"] == 0.0
+        and stats["admission"]["reserved_seconds"] == 0.0
     )
     server.shutdown()
     service.close()

@@ -31,7 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence, Union
 
 from repro.analysis.errors import mean_ratio_error
 from repro.aqp import AggregateSpec, OnlineAggregator
@@ -580,30 +580,21 @@ def command_serve(args: argparse.Namespace) -> int:
     if args.port < 0 or args.port > 65535:
         print(f"error: --port must be in [0, 65535], got {args.port}", file=sys.stderr)
         return 2
-    overload_flags = (args.capacity_seconds is not None
-                      or args.backlog_seconds is not None)
-    if args.no_overload and overload_flags:
+    sizes = {name: value for name, value in (
+        ("capacity_seconds", args.capacity_seconds),
+        ("backlog_seconds", args.backlog_seconds),
+    ) if value is not None}
+    if args.no_overload and sizes:
         print("error: --capacity-seconds/--backlog-seconds tune the overload "
               "layer; drop --no-overload", file=sys.stderr)
         return 2
-    if args.no_overload:
-        overload = False
-    elif overload_flags:
-        defaults = OverloadConfig()
+    overload: Union[bool, OverloadConfig] = not args.no_overload
+    if sizes:
         try:
-            overload = OverloadConfig(
-                capacity_seconds=(defaults.capacity_seconds
-                                  if args.capacity_seconds is None
-                                  else args.capacity_seconds),
-                backlog_seconds=(defaults.backlog_seconds
-                                 if args.backlog_seconds is None
-                                 else args.backlog_seconds),
-            )
+            overload = OverloadConfig(**sizes)
         except ValueError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
-    else:
-        overload = True
     if args.cache_bytes is not None and not args.cache:
         print("error: --cache-bytes sizes the sample cache; add --cache",
               file=sys.stderr)

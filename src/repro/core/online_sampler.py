@@ -306,11 +306,15 @@ class OnlineUnionSampler:
             nonlocal worst_half_width
             if len(subset) == 1:
                 return join_sizes[next(iter(subset))]
-            pivot = max(subset, key=lambda n: len(self._records[n]))
+            # Walk the subset in union order, never frozenset order: set
+            # iteration follows PYTHONHASHSEED, and max() keeps the first
+            # of tied record counts, so the pivot must not depend on it.
+            members = [n for n in self.names if n in subset]
+            pivot = max(members, key=lambda n: len(self._records[n]))
             records = self._records[pivot]
             if not records:
-                return old.overlap(list(subset))
-            others = [n for n in subset if n != pivot]
+                return old.overlap(members)
+            others = [n for n in members if n != pivot]
             total_weight = sum(r.weight for r in records)
             hit_weight = 0.0
             hits = 0
@@ -319,7 +323,7 @@ class OnlineUnionSampler:
                     hit_weight += record.weight
                     hits += 1
             if total_weight <= 0:
-                return old.overlap(list(subset))
+                return old.overlap(members)
             ratio = hit_weight / total_weight
             p_hat = hits / len(records)
             half_width = z_value(min(self.gamma, 0.999)) * math.sqrt(

@@ -1,9 +1,9 @@
 """Resource hygiene: tickets release in ``finally``, executors get closed (PR 8).
 
-An :class:`AdmissionTicket` is a unit of the server's inflight budget; a
-request that dies between ``admit()`` and ``release()`` without a
-``finally`` permanently shrinks capacity until the server wedges — the
-exact leak PR 8 closed.  Executors own OS threads: constructed outside a
+An admission :class:`~repro.server.admission.Ticket` is a unit of the
+server's inflight budget; a request that dies between ``admit()`` and
+``release()`` without a ``finally`` permanently shrinks capacity until the
+server wedges — the exact leak PR 8 closed.  Executors own OS threads: constructed outside a
 ``with`` block they must live on ``self`` in a class that has a lifecycle
 method (``close``/``shutdown``/``__exit__``) responsible for them.
 """
@@ -31,7 +31,7 @@ RULES = (
         id="RES001",
         name="unreleased-ticket",
         invariant=(
-            "every admit()/acquire_slot() acquisition is released in a "
+            "every admit()/watch() acquisition is released in a "
             "`finally` (or immediately, or ownership is returned)"
         ),
     ),

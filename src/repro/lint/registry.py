@@ -35,12 +35,14 @@ class LockContract:
 
 
 LOCK_REGISTRY: Dict[str, LockContract] = {
-    # PR 7: transactional admission accounting — a slot or priced second
-    # touched outside the lock can drift negative and wedge the server.
+    # The one admission gate: slots, reserved and queued priced seconds and
+    # its counts move together under the condition variable — any of them
+    # touched outside it can drift negative, wedge the backpressure queue,
+    # or wedge the server at its inflight cap.
     "AdmissionController": LockContract(
         locks={
-            "_lock": frozenset(
-                {"_inflight", "_inflight_seconds", "admitted", "rejected"}
+            "_cond": frozenset(
+                {"_inflight", "_reserved", "_queued", "admitted", "rejected"}
             )
         }
     ),
@@ -112,13 +114,6 @@ LOCK_REGISTRY: Dict[str, LockContract] = {
             "_lock": frozenset(
                 {"_p99", "_miss_rate", "_state", "_state_since", "_observations"}
             )
-        }
-    ),
-    # PR 10: the priced-seconds reservation ledger; reserved/queued drifting
-    # out from under the condition variable wedges the backpressure queue.
-    "OverloadGate": LockContract(
-        locks={
-            "_cond": frozenset({"_reserved", "_queued", "admitted", "sheds"})
         }
     ),
     # PR 10: breaker states shared by every handler; an unguarded half-open
@@ -268,7 +263,6 @@ NONDETERMINISTIC_CALLS: FrozenSet[str] = frozenset(
 #: server's inflight accounting when a request dies mid-flight.
 RESOURCE_ACQUISITIONS: Dict[str, FrozenSet[str]] = {
     "admit": frozenset({"release"}),
-    "acquire_slot": frozenset({"release_slot", "release"}),
     # PR 10: a watchdog ticket not released leaves a phantom "stuck"
     # request that keeps /health degraded forever.
     "watch": frozenset({"release"}),

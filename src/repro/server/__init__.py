@@ -3,18 +3,15 @@
 Load the relations once, keep the per-query sampling structures warm, and
 serve concurrent ``sample``/``aggregate`` jobs over JSON-over-HTTP — each
 answer epoch-consistent, admission-controlled, and bit-identical to the
-same request served sequentially.  The overload layer
-(:mod:`repro.server.overload`) adds graceful degradation on top: a health
-state machine, priced-seconds backpressure with load shedding, per-query
-circuit breakers, and a stuck-request watchdog.  See ``docs/server.md``
-and ``docs/overload.md``.
+same request served sequentially.  One priced admission gate
+(:class:`AdmissionController`) enforces the request limits and, with the
+overload layer on, a health state machine and priced-seconds backpressure
+with load shedding; :mod:`repro.server.overload` adds per-query circuit
+breakers and a stuck-request watchdog.  See ``docs/server.md`` and
+``docs/overload.md``.
 """
 
-from repro.server.admission import (
-    AdmissionController,
-    AdmissionLimits,
-    AdmissionTicket,
-)
+from repro.server.admission import AdmissionController, AdmissionLimits
 from repro.server.chaos import ChaosClient
 from repro.server.http import (
     SamplingHTTPServer,
@@ -30,7 +27,6 @@ from repro.server.overload import (
     BreakerRegistry,
     HealthMonitor,
     OverloadConfig,
-    OverloadGate,
     Watchdog,
     retry_after_hint,
 )
@@ -46,12 +42,10 @@ __all__ = [
     "RETRYABLE_CODES",
     "AdmissionController",
     "AdmissionLimits",
-    "AdmissionTicket",
     "BreakerRegistry",
     "ChaosClient",
     "HealthMonitor",
     "OverloadConfig",
-    "OverloadGate",
     "RequestError",
     "SamplingHTTPServer",
     "SamplingService",

@@ -1,32 +1,13 @@
-"""Overload robustness: health states, backpressure, breakers, watchdog.
+"""Overload robustness beyond the admission gate: breakers and a watchdog.
 
-PR 7's server admits work until its inflight slots run out and then
-hard-rejects; it has no notion of *being in trouble*.  This module gives it
-one, as four cooperating pieces — each driven by an **injected clock**
-(``clock: Callable[[], float]``, defaulting to ``time.monotonic`` at the
-service level) so every state transition is unit-testable without sleeping:
-
-:class:`HealthMonitor`
-    A three-state machine — ``healthy`` → ``degraded`` → ``overloaded`` —
-    driven by three signals: the fraction of priced-seconds capacity
-    currently reserved, an EWMA of the deadline-miss rate, and a peak-decay
-    p99-latency tracker.  Severity escalates immediately; recovery requires
-    the signals to clear *and* a hysteresis dwell, so the state cannot
-    flap request to request.
-
-:class:`OverloadGate`
-    Priced-seconds backpressure in front of admission.  Reserved work is
-    bounded by ``capacity_seconds``; requests that arrive while capacity is
-    full wait briefly in a **bounded priced-seconds backlog**
-    (``backlog_seconds``) for headroom, and are shed with a structured
-    429/503 carrying a computed ``Retry-After`` once the backlog is full,
-    the wait budget expires, or the health state forbids them.  Because a
-    request's cost counts against both bounds, the policy sheds the most
-    expensive admissible requests first: as pressure mounts, the priced
-    ceiling a request must fit under shrinks (``degraded`` halves the
-    remaining headroom; ``overloaded`` sheds everything with a nonzero
-    price) while cheap requests — and the unpriced ``/health`` probe, which
-    never enters the gate — keep flowing.
+The gate itself — health states, priced-seconds backpressure and load
+shedding — is :class:`~repro.server.admission.AdmissionController`, the one
+priced check every ``sample``/``aggregate`` request passes; this module
+re-exports its health machinery (:class:`OverloadConfig`,
+:class:`HealthMonitor`, :func:`retry_after_hint`, the state names) so the
+whole overload layer keeps one import path.  It adds two pieces, each
+driven by the same **injected clock** so every transition is unit-testable
+without sleeping:
 
 :class:`BreakerRegistry`
     One circuit breaker per ``(query, weights)``.  ``breaker_threshold``
@@ -45,354 +26,37 @@ service level) so every state transition is unit-testable without sleeping:
     :mod:`repro.server.http` (a handler thread cannot be killed in Python,
     but it can always be *seen*).
 
-Shedding decisions are per-request and deterministic given the gate state;
-``Retry-After`` hints come from :func:`retry_after_hint`, a pure function
-of the pending priced seconds and the configured drain rate.  See
-``docs/overload.md`` for the full policy.
+See ``docs/overload.md`` for the full policy.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from repro.server.admission import (
+    DEGRADED,
+    HEALTH_STATES,
+    HEALTHY,
+    OVERLOADED,
+    AdmissionController,
+    Clock,
+    HealthMonitor,
+    OverloadConfig,
+    retry_after_hint,
+)
 from repro.server.protocol import RequestError
 
-#: An injected monotonic clock; the service passes ``time.monotonic``,
-#: deterministic tests pass a manually-advanced counter.
-Clock = Callable[[], float]
-
-HEALTHY = "healthy"
-DEGRADED = "degraded"
-OVERLOADED = "overloaded"
-#: severity order of the health states (index = rank)
-HEALTH_STATES = (HEALTHY, DEGRADED, OVERLOADED)
+#: Alias of the one admission gate, kept because the benchmark tracer
+#: (``perfbench/tracing.py``) imports and patches this name.
+OverloadGate = AdmissionController
 
 #: error codes that count as a breaker failure: the request ran and died on
 #: its deadline/epoch budget (sheds and caller mistakes are neutral).
 BREAKER_FAILURE_CODES = frozenset(
     {"deadline-exceeded", "empty-result", "epoch-restart-exhausted"}
 )
-
-
-def retry_after_hint(pending_seconds: float, drain_rate: float) -> int:
-    """Whole seconds until ``pending_seconds`` of priced work should drain.
-
-    Pure function of its arguments (no clock, no state): the server retires
-    roughly ``drain_rate`` priced seconds per wall second, so the earliest
-    useful retry is the drain time of everything already reserved or
-    queued, never less than 1s (a sub-second hint is noise to a client).
-    """
-    if drain_rate <= 0.0 or pending_seconds <= 0.0:
-        return 1
-    return max(1, int(math.ceil(pending_seconds / drain_rate)))
-
-
-@dataclass(frozen=True)
-class OverloadConfig:
-    """Every knob of the overload layer, with serving-friendly defaults.
-
-    ``capacity_seconds`` / ``backlog_seconds`` bound the priced seconds the
-    server will run / queue at once; ``drain_rate`` (priced seconds retired
-    per wall second) converts pending work into ``Retry-After`` hints.
-    ``max_queue_wait`` is the longest a request may wait in the backlog for
-    capacity before being shed — brief on purpose: queueing smooths bursts,
-    it must not become an unbounded hidden queue.
-    """
-
-    capacity_seconds: float = 60.0
-    backlog_seconds: float = 30.0
-    max_queue_wait: float = 0.25
-    drain_rate: float = 1.0
-    # ---- health thresholds -------------------------------------------------
-    degraded_utilisation: float = 0.5
-    overloaded_utilisation: float = 0.9
-    degraded_miss_rate: float = 0.1
-    overloaded_miss_rate: float = 0.5
-    p99_budget_seconds: float = 2.0
-    ewma_alpha: float = 0.2
-    recovery_dwell_seconds: float = 1.0
-    # ---- degraded-state shedding -------------------------------------------
-    shed_ceiling_fraction: float = 0.5
-    # ---- circuit breakers ---------------------------------------------------
-    breaker_threshold: int = 3
-    breaker_open_seconds: float = 5.0
-    breaker_max_open_seconds: float = 60.0
-    # ---- watchdog ------------------------------------------------------------
-    watchdog_grace_seconds: float = 2.0
-    watchdog_default_budget: float = 30.0
-
-    def __post_init__(self) -> None:
-        if self.capacity_seconds <= 0.0:
-            raise ValueError("capacity_seconds must be positive")
-        if self.backlog_seconds < 0.0 or self.max_queue_wait < 0.0:
-            raise ValueError("backlog_seconds/max_queue_wait must be non-negative")
-        if not 0.0 < self.degraded_utilisation <= self.overloaded_utilisation:
-            raise ValueError(
-                "need 0 < degraded_utilisation <= overloaded_utilisation"
-            )
-        if not 0.0 < self.degraded_miss_rate <= self.overloaded_miss_rate <= 1.0:
-            raise ValueError(
-                "need 0 < degraded_miss_rate <= overloaded_miss_rate <= 1"
-            )
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
-        if not 0.0 < self.shed_ceiling_fraction <= 1.0:
-            raise ValueError("shed_ceiling_fraction must be in (0, 1]")
-        if self.breaker_threshold < 1:
-            raise ValueError("breaker_threshold must be >= 1")
-        if not 0.0 < self.breaker_open_seconds <= self.breaker_max_open_seconds:
-            raise ValueError(
-                "need 0 < breaker_open_seconds <= breaker_max_open_seconds"
-            )
-        if self.watchdog_grace_seconds < 0.0 or self.watchdog_default_budget <= 0.0:
-            raise ValueError("watchdog grace/budget must be sane")
-
-
-# ----------------------------------------------------------------- health
-class HealthMonitor:
-    """The HEALTHY → DEGRADED → OVERLOADED state machine.
-
-    ``record()`` feeds it per-request observations (latency, deadline
-    missed); ``assess()`` folds in the current capacity utilisation and
-    returns the state.  The p99 tracker is a peak-decay envelope — each
-    observation decays the previous estimate by ``1 - ewma_alpha`` and
-    takes the max with the new latency — which converges to the plateau
-    under steady load, jumps instantly on a spike, and forgets it
-    geometrically; the miss rate is a plain EWMA of the miss indicator.
-    Escalation is immediate; de-escalation additionally waits
-    ``recovery_dwell_seconds`` after the last state change (hysteresis).
-    """
-
-    def __init__(self, config: OverloadConfig, clock: Clock) -> None:
-        self._config = config
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._p99 = 0.0
-        self._miss_rate = 0.0
-        self._state = HEALTHY
-        self._state_since = clock()
-        self._observations = 0
-
-    def record(self, latency: float, deadline_missed: bool) -> None:
-        """Fold one served request into the latency/miss-rate signals."""
-        alpha = self._config.ewma_alpha
-        with self._lock:
-            self._p99 = max(float(latency), self._p99 * (1.0 - alpha))
-            self._miss_rate += alpha * ((1.0 if deadline_missed else 0.0)
-                                        - self._miss_rate)
-            self._observations += 1
-
-    def _target(self, utilisation: float) -> str:
-        c = self._config
-        if (
-            utilisation >= c.overloaded_utilisation
-            or self._miss_rate >= c.overloaded_miss_rate
-            or self._p99 >= 2.0 * c.p99_budget_seconds
-        ):
-            return OVERLOADED
-        if (
-            utilisation >= c.degraded_utilisation
-            or self._miss_rate >= c.degraded_miss_rate
-            or self._p99 >= c.p99_budget_seconds
-        ):
-            return DEGRADED
-        return HEALTHY
-
-    def assess(self, utilisation: float) -> str:
-        """Current health state given ``reserved+queued / capacity``."""
-        with self._lock:
-            target = self._target(utilisation)
-            now = self._clock()
-            current_rank = HEALTH_STATES.index(self._state)
-            target_rank = HEALTH_STATES.index(target)
-            if target_rank > current_rank:
-                self._state = target
-                self._state_since = now
-            elif target_rank < current_rank and (
-                now - self._state_since >= self._config.recovery_dwell_seconds
-            ):
-                self._state = target
-                self._state_since = now
-            return self._state
-
-    def snapshot(self) -> Dict[str, object]:
-        with self._lock:
-            return {
-                "state": self._state,
-                "p99_ewma_seconds": self._p99,
-                "deadline_miss_rate": self._miss_rate,
-                "observations": self._observations,
-            }
-
-
-# ------------------------------------------------------------------- gate
-class GateTicket:
-    """One admitted request's priced-seconds reservation in the gate.
-
-    ``release()`` is idempotent, mirroring :class:`AdmissionTicket` — the
-    service releases it in a ``finally`` so no exit path leaks capacity.
-    """
-
-    __slots__ = ("priced_seconds", "_gate", "_released")
-
-    def __init__(self, gate: Optional["OverloadGate"], priced_seconds: float) -> None:
-        self.priced_seconds = priced_seconds
-        self._gate = gate
-        self._released = False
-
-    def release(self) -> None:
-        if self._released:
-            return
-        self._released = True
-        if self._gate is not None:
-            self._gate._release(self)
-
-
-class OverloadGate:
-    """Backpressure and load shedding over priced seconds.
-
-    A disabled gate (``config=None``) admits everything through a no-op
-    ticket, so call sites keep the exact acquire/``finally``-release shape
-    the lint resource rules check either way.
-    """
-
-    def __init__(
-        self,
-        config: Optional[OverloadConfig],
-        monitor: HealthMonitor,
-        clock: Clock,
-    ) -> None:
-        self.enabled = config is not None
-        self._config = config or OverloadConfig()
-        self._monitor = monitor
-        self._clock = clock
-        self._cond = threading.Condition()
-        self._reserved = 0.0
-        self._queued = 0.0
-        self.admitted = 0
-        self.sheds = 0
-
-    # The monitor folds live pressure in: utilisation is everything reserved
-    # or waiting over capacity.  Callers hold _cond; the monitor has its own
-    # leaf lock and never calls back into the gate.
-    def _assess_locked(self) -> str:
-        utilisation = (self._reserved + self._queued) / self._config.capacity_seconds
-        return self._monitor.assess(utilisation)
-
-    def state(self) -> str:
-        """Current health state (also re-assessed by every admit)."""
-        if not self.enabled:
-            return HEALTHY
-        with self._cond:
-            return self._assess_locked()
-
-    def admit(self, priced_seconds: float) -> GateTicket:
-        """Reserve ``priced_seconds`` of capacity or shed with Retry-After.
-
-        Sheds raise :class:`RequestError` — ``overloaded`` (503) when the
-        health state forbids priced work entirely, ``admission-rejected``
-        (429) when this particular request does not fit — always with a
-        ``retry_after`` detail.  Admitted requests get a ticket that MUST
-        be released in a ``finally``.
-        """
-        if not self.enabled:
-            return GateTicket(None, 0.0)
-        priced = max(float(priced_seconds), 0.0)
-        c = self._config
-        with self._cond:
-            state = self._assess_locked()
-            pending = self._reserved + self._queued
-            hint = retry_after_hint(pending + priced, c.drain_rate)
-            if state == OVERLOADED and priced > 0.0:
-                self.sheds += 1
-                raise RequestError(
-                    "overloaded",
-                    "server is overloaded and shedding all priced work; "
-                    f"retry after ~{hint}s",
-                    state=state,
-                    retry_after=hint,
-                )
-            if state == DEGRADED:
-                headroom = max(c.capacity_seconds - pending, 0.0)
-                ceiling = c.shed_ceiling_fraction * headroom
-                if priced > ceiling:
-                    self.sheds += 1
-                    raise RequestError(
-                        "admission-rejected",
-                        f"server is degraded: request priced at {priced:.3f}s "
-                        f"exceeds the shrunken {ceiling:.3f}s ceiling; "
-                        "cheaper requests are still admitted",
-                        limit="overload-shed",
-                        state=state,
-                        priced_seconds=priced,
-                        retry_after=hint,
-                    )
-            if self._queued + priced > c.backlog_seconds:
-                self.sheds += 1
-                raise RequestError(
-                    "admission-rejected",
-                    f"backlog is full ({self._queued:.3f}s of "
-                    f"{c.backlog_seconds:g}s priced seconds queued); "
-                    f"retry after ~{hint}s",
-                    limit="backlog",
-                    state=state,
-                    retry_after=hint,
-                )
-            # Backpressure: wait (bounded) in the backlog for capacity.
-            self._queued += priced
-            try:
-                wait_until = self._clock() + c.max_queue_wait
-                while self._reserved + priced > c.capacity_seconds:
-                    remaining = wait_until - self._clock()
-                    if remaining <= 0.0:
-                        self.sheds += 1
-                        raise RequestError(
-                            "admission-rejected",
-                            f"no capacity freed within the {c.max_queue_wait:g}s "
-                            "queue-wait budget",
-                            limit="capacity",
-                            state=state,
-                            retry_after=retry_after_hint(
-                                self._reserved + self._queued, c.drain_rate
-                            ),
-                        )
-                    self._cond.wait(remaining)
-                self._reserved += priced
-                self.admitted += 1
-            finally:
-                self._queued -= priced
-        return GateTicket(self, priced)
-
-    def _release(self, ticket: GateTicket) -> None:
-        with self._cond:
-            self._reserved = max(self._reserved - ticket.priced_seconds, 0.0)
-            if self._reserved < 1e-9 and self._queued == 0.0:
-                # Snap float drift exactly like the admission controller: an
-                # idle gate reports exactly 0.0 reserved seconds.
-                self._reserved = 0.0
-            self._cond.notify_all()
-
-    def snapshot(self) -> Dict[str, object]:
-        if not self.enabled:
-            return {"enabled": False, "state": HEALTHY}
-        with self._cond:
-            state = self._assess_locked()
-            reserved, queued = self._reserved, self._queued
-            admitted, sheds = self.admitted, self.sheds
-        return {
-            "enabled": True,
-            "state": state,
-            "reserved_seconds": reserved,
-            "queued_seconds": queued,
-            "capacity_seconds": self._config.capacity_seconds,
-            "backlog_seconds": self._config.backlog_seconds,
-            "admitted": admitted,
-            "sheds": sheds,
-            **self._monitor.snapshot(),
-        }
 
 
 # --------------------------------------------------------------- breakers
@@ -617,7 +281,6 @@ __all__ = [
     "BreakerRegistry",
     "Clock",
     "DEGRADED",
-    "GateTicket",
     "HEALTHY",
     "HEALTH_STATES",
     "HealthMonitor",

@@ -47,7 +47,10 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from contextlib import contextmanager
+from typing import (
+    Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -60,17 +63,15 @@ from repro.parallel.pool import ParallelSamplerPool
 from repro.parallel.shards import observed_versions
 from repro.resilience import EmptyResultError, JobDeadlineExceeded
 from repro.sampling.join_sampler import JoinSampler
-from repro.server.admission import AdmissionController, AdmissionLimits
-from repro.server.overload import (
-    BREAKER_FAILURE_CODES,
+from repro.server.admission import (
     HEALTHY,
-    BreakerRegistry,
+    AdmissionController,
+    AdmissionLimits,
     Clock,
-    HealthMonitor,
     OverloadConfig,
-    OverloadGate,
-    Watchdog,
+    Ticket,
 )
+from repro.server.overload import BREAKER_FAILURE_CODES, BreakerRegistry, Watchdog
 from repro.server.protocol import (
     RequestError,
     get_bool,
@@ -95,6 +96,22 @@ _UNEXECUTED_CODES = frozenset(
 _SHED_CODES = frozenset({"admission-rejected", "overloaded", "circuit-open"})
 _AGGREGATES = ("count", "sum", "avg")
 _METHODS = ("auto", "exact-weight", "olken", "wander-join", "online-union")
+
+
+def _as_request_error(error: Exception) -> RequestError:
+    """The structured error a failed request answers with."""
+    if isinstance(error, RequestError):
+        return error
+    if isinstance(error, JobDeadlineExceeded):
+        return RequestError("deadline-exceeded", str(error))
+    if isinstance(error, EmptyResultError):
+        return RequestError("empty-result", str(error))
+    if isinstance(error, ValueError):
+        return RequestError("invalid-request", str(error))
+    if isinstance(error, RuntimeError):
+        code = "epoch-restart-exhausted" if "mutation epoch" in str(error) else "internal"
+        return RequestError(code, str(error))
+    return RequestError("internal", f"{type(error).__name__}: {error}")
 
 
 def jsonify(value):
@@ -127,9 +144,9 @@ class SamplingService:
     workers:
         Worker budget of the shared :class:`ParallelSamplerPool` that
         multi-worker and union requests multiplex onto.
-    limits / admission:
-        Admission-control knobs (see :class:`AdmissionLimits`) or a
-        prebuilt controller.
+    limits:
+        Admission limits (see :class:`AdmissionLimits`), enforced by the
+        one admission gate whether or not the overload layer is on.
     warm_on_start:
         Build the ``"ew"`` warm prototype of every query at startup so the
         first request is as fast as the thousandth.  Lazy otherwise.
@@ -145,12 +162,13 @@ class SamplingService:
         stays a pure function of ``(request, snapshot)``.  Individual
         requests opt out with ``"cache": false`` even on a caching server.
     overload:
-        The overload-robustness layer (see :mod:`repro.server.overload` and
-        ``docs/overload.md``): health state machine, priced-seconds
-        backpressure/shedding, per-(query, weights) circuit breakers, and
-        the stuck-request watchdog.  ``True`` (default) enables it with
-        :class:`OverloadConfig` defaults, ``False`` disables it (PR 7
-        behavior), or pass a config to tune the thresholds.
+        The overload-robustness layer (see ``docs/overload.md``): health
+        states, priced-seconds backpressure and shedding in the admission
+        gate, per-(query, weights) circuit breakers, and the stuck-request
+        watchdog.  ``True`` (default) enables it with
+        :class:`OverloadConfig` defaults, ``False`` disables it (the gate
+        then enforces only ``limits``), or pass a config to tune the
+        thresholds.
     clock:
         Monotonic clock the overload layer runs on; tests inject a manual
         clock to pin state transitions deterministically.
@@ -166,7 +184,6 @@ class SamplingService:
         seed: int = 2023,
         workers: Optional[int] = None,
         limits: Optional[AdmissionLimits] = None,
-        admission: Optional[AdmissionController] = None,
         max_epoch_restarts: int = 3,
         warm_on_start: bool = True,
         sample_chunk: int = 1024,
@@ -182,26 +199,16 @@ class SamplingService:
         # Threads, not processes: the whole point of the server is that every
         # request shares the already-loaded relations and warm structures.
         self.pool = ParallelSamplerPool(workers=workers, execution="thread")
-        self.admission = admission or AdmissionController(limits)
         self.cache = cache
         self.max_epoch_restarts = int(max_epoch_restarts)
         self.sample_chunk = int(sample_chunk)
         # ---- overload layer (docs/overload.md): the injected clock makes
-        # every health/breaker/watchdog transition unit-testable; `True`
-        # enables the layer with defaults, `False`/`None` disables it (the
-        # gate then hands out free no-op tickets so the handler shape —
-        # admit in, release in a finally — is identical either way).
+        # every gate/health/breaker/watchdog transition unit-testable; `True`
+        # enables the layer with defaults, `False`/`None` disables it.
         self._clock: Clock = clock if clock is not None else time.monotonic
-        if overload is True:
-            overload_config: Optional[OverloadConfig] = OverloadConfig()
-        elif not overload:
-            overload_config = None
-        else:
-            overload_config = overload
-        self.overload_config = overload_config
+        overload_config = OverloadConfig() if overload is True else overload or None
+        self.admission = AdmissionController(limits, overload_config, self._clock)
         base_config = overload_config or OverloadConfig()
-        self._monitor = HealthMonitor(base_config, self._clock)
-        self._overload = OverloadGate(overload_config, self._monitor, self._clock)
         self._breakers = BreakerRegistry(
             base_config, self._clock, enabled=overload_config is not None
         )
@@ -303,40 +310,12 @@ class SamplingService:
             elif kind == "mutate":
                 result = self._handle_mutate(request)
             elif kind == "sample":
-                # sample/aggregate admit themselves: the ticket (slot +
-                # priced seconds) is reserved atomically once the request is
-                # fully priced and released in the handler's own finally.
                 result = self._handle_sample(request)
             else:
                 result = self._handle_aggregate(request)
-        except RequestError as error:
-            return self._finish(self._error(error), kind, started)
-        except JobDeadlineExceeded as error:
-            return self._finish(
-                self._error(RequestError("deadline-exceeded", str(error))),
-                kind, started,
-            )
-        except EmptyResultError as error:
-            return self._finish(
-                self._error(RequestError("empty-result", str(error))),
-                kind, started,
-            )
-        except ValueError as error:
-            return self._finish(
-                self._error(RequestError("invalid-request", str(error))),
-                kind, started,
-            )
-        except RuntimeError as error:
-            code = "epoch-restart-exhausted" if "mutation epoch" in str(error) else "internal"
-            return self._finish(
-                self._error(RequestError(code, str(error))), kind, started
-            )
         except Exception as error:  # noqa: BLE001 - the server must not die
             return self._finish(
-                self._error(
-                    RequestError("internal", f"{type(error).__name__}: {error}")
-                ),
-                kind, started,
+                self._error(_as_request_error(error)), kind, started
             )
         with self._stats_lock:
             self._counters["ok"] += 1
@@ -365,7 +344,7 @@ class SamplingService:
                 self._counters["shed_requests"] += 1
         if code in _UNEXECUTED_CODES:
             return payload
-        self._monitor.record(
+        self.admission.monitor.record(
             self._clock() - started,
             deadline_missed=code in ("deadline-exceeded", "empty-result"),
         )
@@ -389,6 +368,58 @@ class SamplingService:
                 queries=self.workload.query_names,
             ) from None
 
+    # ------------------------------------------------------------------ guard
+    @contextmanager
+    def _guarded(
+        self,
+        kind: str,
+        label: str,
+        weights: str,
+        queries: Sequence[JoinQuery],
+        sample_size: int,
+        deadline: Optional[float],
+        *,
+        warm: bool,
+        cached_samples: int = 0,
+    ) -> Iterator[Ticket]:
+        """Run one sample/aggregate request under every server-side guard.
+
+        In order: the ``(label, weights)`` circuit breaker, the admission
+        gate (priced at ``sample_size``), the watchdog.  However the body
+        ends, the watch and the ticket are released and the breaker records
+        the outcome — success closes a half-open probe, deadline/epoch
+        failures count toward tripping it, and sheds or caller mistakes hand
+        the probe slot back untouched.  The reservation must drain even when
+        the draw fails mid-flight (deadline, epoch exhaustion, fault
+        injection): leaking it would wedge the inflight count until restart.
+        """
+        breaker_key = (label, weights)
+        self._breakers.check(breaker_key)
+        outcome = "neutral"
+        try:
+            ticket = self.admission.admit(
+                queries, sample_size, warm=warm, cached_samples=cached_samples
+            )
+            try:
+                watch = self._watchdog.watch(kind, label, deadline)
+                try:
+                    with self._stats_lock:
+                        self._counters[
+                            "warm_requests" if warm else "pool_requests"
+                        ] += 1
+                    yield ticket
+                    outcome = "success"
+                finally:
+                    watch.release()
+            finally:
+                ticket.release()
+        except Exception as error:
+            if _as_request_error(error).code in BREAKER_FAILURE_CODES:
+                outcome = "failure"
+            raise
+        finally:
+            self._breakers.record(breaker_key, outcome)
+
     # ----------------------------------------------------------------- sample
     def _handle_sample(self, request: Mapping[str, object]) -> Dict[str, object]:
         label, queries = self._resolve_queries(
@@ -403,62 +434,19 @@ class SamplingService:
         max_attempts = get_int(request, "max_attempts", 1_000_000, minimum=1)
         union = len(queries) > 1
         warm = not union and workers == 1
-        # Price once, up front: the overload gate and the admission
-        # controller both account the same deterministic cost-model seconds.
-        priced = self.admission.price(queries, count, warm=warm)
-        breaker_key = (label, weights)
-        self._breakers.check(breaker_key)
-        outcome = "neutral"
-        try:
-            gate_ticket = self._overload.admit(priced)
-            try:
-                ticket = self.admission.admit(
-                    queries, count, warm=warm, priced=priced
+        with self._guarded(
+            "sample", label, weights, queries, count, deadline, warm=warm
+        ) as ticket:
+            if warm:
+                result = self._sample_warm(
+                    queries[0], count, seed, weights, deadline,
+                    allow_partial, max_attempts,
                 )
-                try:
-                    watch = self._watchdog.watch("sample", label, deadline)
-                    try:
-                        with self._stats_lock:
-                            self._counters[
-                                "warm_requests" if warm else "pool_requests"
-                            ] += 1
-                        if warm:
-                            result = self._sample_warm(
-                                queries[0], count, seed, weights, deadline,
-                                allow_partial, max_attempts,
-                            )
-                        else:
-                            result = self._sample_pooled(
-                                queries, count, seed, weights, workers,
-                                deadline, allow_partial, max_attempts, union,
-                            )
-                        outcome = "success"
-                    finally:
-                        watch.release()
-                finally:
-                    # The reservation must drain even when the draw fails
-                    # mid-flight (deadline, epoch exhaustion, fault
-                    # injection): leaking it here would wedge the inflight
-                    # count until restart.
-                    ticket.release()
-            finally:
-                gate_ticket.release()
-        except RequestError as error:
-            if error.code in BREAKER_FAILURE_CODES:
-                outcome = "failure"
-            raise
-        except (JobDeadlineExceeded, EmptyResultError):
-            outcome = "failure"
-            raise
-        except RuntimeError as error:
-            if "mutation epoch" in str(error):  # epoch-restart-exhausted
-                outcome = "failure"
-            raise
-        finally:
-            # Pairs with the check() above: success closes a half-open
-            # probe, deadline/epoch failures trip the breaker, sheds hand
-            # the probe slot back untouched.
-            self._breakers.record(breaker_key, outcome)
+            else:
+                result = self._sample_pooled(
+                    queries, count, seed, weights, workers,
+                    deadline, allow_partial, max_attempts, union,
+                )
         result.update(
             kind="sample", query=label, seed=seed,
             priced_seconds=ticket.priced_seconds,
@@ -648,89 +636,50 @@ class SamplingService:
             entry = cache.peek(queries[0], BACKEND_WEIGHTS[method])
             if entry is not None:
                 cached_available = min(entry.samples, budget)
-        priced = self.admission.price(
-            queries, budget, warm=warm, cached_samples=cached_available
-        )
-        breaker_key = (label, BACKEND_WEIGHTS.get(method, method))
-        self._breakers.check(breaker_key)
-        outcome = "neutral"
-        try:
-            gate_ticket = self._overload.admit(priced)
-            try:
-                ticket = self.admission.admit(
-                    queries, budget, warm=warm,
-                    cached_samples=cached_available, priced=priced,
+        with self._guarded(
+            "aggregate", label, BACKEND_WEIGHTS.get(method, method), queries,
+            budget, deadline, warm=warm, cached_samples=cached_available,
+        ) as ticket:
+            if cache is not None:
+                with self._stats_lock:
+                    self._counters["cache_requests"] += 1
+            spec = AggregateSpec(aggregate, attribute=attribute, group_by=group_by)
+            if warm:
+                # Two independent streams: one seeds the prototype clone, one
+                # the aggregator's own draws — deterministic per request, and
+                # the prototype's stream is untouched either way.
+                clone_rng, agg_rng = spawn_rngs(seed, 2)
+                clone = self._prototype(
+                    queries[0], BACKEND_WEIGHTS[method]
+                ).split(1, seed=clone_rng, share_plans=True)[0]
+                aggregator = OnlineAggregator(
+                    queries,
+                    spec,
+                    method=method,
+                    seed=agg_rng,
+                    confidence=confidence,
+                    ci_method=ci_method,
+                    target_samples=budget,
+                    join_sampler=clone,
+                    cache=cache,
                 )
-                try:
-                    watch = self._watchdog.watch("aggregate", label, deadline)
-                    try:
-                        with self._stats_lock:
-                            self._counters[
-                                "warm_requests" if warm else "pool_requests"
-                            ] += 1
-                            if cache is not None:
-                                self._counters["cache_requests"] += 1
-
-                        spec = AggregateSpec(
-                            aggregate, attribute=attribute, group_by=group_by
-                        )
-                        if warm:
-                            # Two independent streams: one seeds the prototype
-                            # clone, one the aggregator's own draws —
-                            # deterministic per request, and the prototype's
-                            # stream is untouched either way.
-                            clone_rng, agg_rng = spawn_rngs(seed, 2)
-                            clone = self._prototype(
-                                queries[0], BACKEND_WEIGHTS[method]
-                            ).split(1, seed=clone_rng, share_plans=True)[0]
-                            aggregator = OnlineAggregator(
-                                queries,
-                                spec,
-                                method=method,
-                                seed=agg_rng,
-                                confidence=confidence,
-                                ci_method=ci_method,
-                                target_samples=budget,
-                                join_sampler=clone,
-                                cache=cache,
-                            )
-                        else:
-                            aggregator = OnlineAggregator(
-                                queries,
-                                spec,
-                                method=method,
-                                seed=seed,
-                                confidence=confidence,
-                                ci_method=ci_method,
-                                parallelism=workers,
-                                target_samples=budget,
-                            )
-                        report = aggregator.until(
-                            rel_error,
-                            max_attempts=max_attempts,
-                            deadline=deadline,
-                            allow_partial=allow_partial,
-                        )
-                        outcome = "success"
-                    finally:
-                        watch.release()
-                finally:
-                    ticket.release()
-            finally:
-                gate_ticket.release()
-        except RequestError as error:
-            if error.code in BREAKER_FAILURE_CODES:
-                outcome = "failure"
-            raise
-        except (JobDeadlineExceeded, EmptyResultError):
-            outcome = "failure"
-            raise
-        except RuntimeError as error:
-            if "mutation epoch" in str(error):  # epoch-restart-exhausted
-                outcome = "failure"
-            raise
-        finally:
-            self._breakers.record(breaker_key, outcome)
+            else:
+                aggregator = OnlineAggregator(
+                    queries,
+                    spec,
+                    method=method,
+                    seed=seed,
+                    confidence=confidence,
+                    ci_method=ci_method,
+                    parallelism=workers,
+                    target_samples=budget,
+                )
+            report = aggregator.until(
+                rel_error,
+                max_attempts=max_attempts,
+                deadline=deadline,
+                allow_partial=allow_partial,
+            )
         result = {
             "kind": "aggregate",
             "query": label,
@@ -816,9 +765,10 @@ class SamplingService:
 
     def _handle_health(self) -> Dict[str, object]:
         # Health is the one endpoint that must answer even while everything
-        # else is being shed: it never enters the gate or admission, and it
-        # reads only lock-protected snapshots.
-        state = self._overload.state()
+        # else is being shed: it never enters the gate, and it reads only
+        # lock-protected snapshots.
+        gate = self.admission.snapshot()
+        state = gate["state"]
         stuck = self._watchdog.scan()
         status = "ok" if state == HEALTHY else state
         if stuck and status == "ok":
@@ -830,7 +780,7 @@ class SamplingService:
             "workload": self.workload.name,
             "queries": self.workload.query_names,
             "warm_prototypes": self.warm_prototypes,
-            "inflight": self.admission.inflight,
+            "inflight": gate["inflight"],
             "stuck_requests": len(stuck),
         }
 
@@ -846,21 +796,12 @@ class SamplingService:
             "kind": "stats",
             "workload": self.workload.name,
             "counters": counters,
-            "admission": {
-                "admitted": self.admission.admitted,
-                "rejected": self.admission.rejected,
-                "inflight": self.admission.inflight,
-                "inflight_seconds": self.admission.inflight_seconds,
-                "max_request_seconds": self.admission.limits.max_request_seconds,
-                "max_samples": self.admission.limits.max_samples,
-                "max_inflight": self.admission.limits.max_inflight,
-            },
+            "admission": self.admission.snapshot(),
             "cache": (
                 {"enabled": True, **self.cache.stats_dict()}
                 if self.cache is not None
                 else {"enabled": False}
             ),
-            "overload": self._overload.snapshot(),
             "breakers": self._breakers.snapshot(),
             "watchdog": self._watchdog.snapshot(),
             "pool": {

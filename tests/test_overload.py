@@ -1,9 +1,9 @@
-"""Tests for the overload layer (repro.server.overload) and transport chaos.
+"""Tests for the overload layer and transport chaos.
 
-Three layers, mirroring the module:
+Three layers, mirroring the modules:
 
-* deterministic unit tests — every health/breaker/watchdog transition pinned
-  with a manually-advanced clock, no sleeps, no wall time;
+* deterministic unit tests — every admission-gate/health/breaker/watchdog
+  transition pinned with a manually-advanced clock, no sleeps, no wall time;
 * service integration — the gate/breaker/watchdog wired through
   :meth:`SamplingService.handle`, still on an injected clock;
 * transport — the slow-loris regression, the ``Retry-After`` header
@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import http.client
 import json
+import random
 import socket
+import sys
 import threading
 import time
 
@@ -30,6 +32,7 @@ from repro.server import (
     ServerError,
     start_server,
 )
+from repro.server.admission import AdmissionController, AdmissionLimits
 from repro.server.overload import (
     DEGRADED,
     HEALTHY,
@@ -37,7 +40,6 @@ from repro.server.overload import (
     BreakerRegistry,
     HealthMonitor,
     OverloadConfig,
-    OverloadGate,
     Watchdog,
     retry_after_hint,
 )
@@ -70,6 +72,14 @@ def tight_config(**overrides) -> OverloadConfig:
     )
     options.update(overrides)
     return OverloadConfig(**options)
+
+
+class FlatPricedGate(AdmissionController):
+    """The admission gate with price = sample count, so every threshold in
+    a unit test is arithmetic; ``admit((), 3.0)`` reserves 3.0 seconds."""
+
+    def price(self, queries, sample_size, **_):
+        return float(sample_size)
 
 
 def make_service(**overrides) -> SamplingService:
@@ -152,62 +162,65 @@ class TestHealthMonitor:
 
 
 class TestOverloadGate:
+    """The admission gate's overload checks (``OverloadGate`` is its alias)."""
+
     def make_gate(self, config=None, clock=None):
         clock = clock or ManualClock()
-        config = config or tight_config()
-        return OverloadGate(config, HealthMonitor(config, clock), clock), clock
+        return FlatPricedGate(None, config or tight_config(), clock), clock
 
     def test_admit_and_release_account_exactly(self):
         gate, _ = self.make_gate()
-        ticket = gate.admit(3.0)
+        ticket = gate.admit((), 3.0)
         assert gate.snapshot()["reserved_seconds"] == 3.0
+        assert gate.snapshot()["inflight"] == 1
         ticket.release()
         ticket.release()  # idempotent
         snapshot = gate.snapshot()
         assert snapshot["reserved_seconds"] == 0.0
+        assert snapshot["inflight"] == 0
         assert snapshot["admitted"] == 1
-        assert snapshot["sheds"] == 0
+        assert snapshot["rejected"] == 0
 
     def test_overloaded_sheds_all_priced_work_but_not_free_probes(self):
         gate, _ = self.make_gate()
         # The third admit (at 8/10 = degraded) exactly fits the shrunken
         # ceiling of 0.5 * 2.0; reserved then hits 9/10 = overloaded.
-        held = [gate.admit(4.0), gate.admit(4.0), gate.admit(1.0)]
+        held = [gate.admit((), 4.0), gate.admit((), 4.0), gate.admit((), 1.0)]
         with pytest.raises(RequestError) as excinfo:
-            gate.admit(0.5)
+            gate.admit((), 0.5)
         assert excinfo.value.code == "overloaded"
         assert excinfo.value.retry_after >= 1
         assert ERROR_CODES["overloaded"] == 503
         # The zero-priced probe (health never even enters the gate; this is
         # the degenerate priced-at-zero request) still passes.
-        gate.admit(0.0).release()
+        gate.admit((), 0.0).release()
         for ticket in held:
             ticket.release()
 
     def test_degraded_sheds_most_expensive_first(self):
         gate, _ = self.make_gate()
-        held = gate.admit(3.0)
-        held2 = gate.admit(3.0)
+        held = gate.admit((), 3.0)
+        held2 = gate.admit((), 3.0)
         # 6/10 reserved -> degraded; headroom 4, ceiling 0.5 * 4 = 2.
         with pytest.raises(RequestError) as excinfo:
-            gate.admit(3.0)
+            gate.admit((), 3.0)
         error = excinfo.value
         assert error.code == "admission-rejected"
         assert error.details["limit"] == "overload-shed"
         assert error.details["state"] == DEGRADED
         assert error.retry_after >= 1
         # A cheap request under the shrunken ceiling keeps flowing.
-        cheap = gate.admit(1.0)
+        cheap = gate.admit((), 1.0)
         cheap.release()
         held.release()
         held2.release()
-        assert gate.snapshot()["sheds"] == 1
+        assert gate.snapshot()["rejected"] == 1
 
     def test_backlog_bound_sheds_with_retry_after(self):
         gate, _ = self.make_gate()
         # priced 6 > backlog_seconds=5 while healthy: shed as backlog-full.
         with pytest.raises(RequestError) as excinfo:
-            gate.admit(6.0)
+            gate.admit((), 6.0)
         assert excinfo.value.details["limit"] == "backlog"
         assert excinfo.value.retry_after == retry_after_hint(6.0, 1.0)
 
@@ -215,12 +228,12 @@ class TestOverloadGate:
         config = tight_config(backlog_seconds=8.0, degraded_utilisation=0.91,
                               overloaded_utilisation=0.95)
         gate, _ = self.make_gate(config)
-        held = gate.admit(4.0)
-        held2 = gate.admit(4.0)
+        held = gate.admit((), 4.0)
+        held2 = gate.admit((), 4.0)
         # 8 + 7 > capacity and max_queue_wait=0: the bounded wait expires
         # immediately and the request sheds with the capacity label.
         with pytest.raises(RequestError) as excinfo:
-            gate.admit(7.0)
+            gate.admit((), 7.0)
         assert excinfo.value.details["limit"] == "capacity"
         assert excinfo.value.retry_after >= 1
         held.release()
@@ -232,13 +245,13 @@ class TestOverloadGate:
                               overloaded_utilisation=0.95)
         clock = ManualClock()
         gate, _ = self.make_gate(config, clock)
-        first = gate.admit(4.0)
-        second = gate.admit(4.0)
+        first = gate.admit((), 4.0)
+        second = gate.admit((), 4.0)
         admitted = threading.Event()
         waiter_result = {}
 
         def waiter():
-            ticket = gate.admit(4.0)  # 8 + 4 > 10: waits in the backlog
+            ticket = gate.admit((), 4.0)  # 8 + 4 > 10: waits in the backlog
             waiter_result["ticket"] = ticket
             admitted.set()
 
@@ -261,12 +274,157 @@ class TestOverloadGate:
 
     def test_disabled_gate_is_a_free_pass(self):
         clock = ManualClock()
-        config = tight_config()
-        gate = OverloadGate(None, HealthMonitor(config, clock), clock)
-        ticket = gate.admit(1e9)
+        gate = FlatPricedGate(AdmissionLimits(max_inflight=1), None, clock)
+        # With the overload layer off nothing is shed, however far beyond
+        # tight_config's capacity and backlog the request is...
+        ticket = gate.admit((), 25.0)
+        assert gate.snapshot()["state"] == HEALTHY
+        # ...but the inflight cap still holds.
+        with pytest.raises(RequestError) as excinfo:
+            gate.admit((), 1.0)
+        assert excinfo.value.details["limit"] == "max_inflight"
         ticket.release()
-        assert gate.state() == HEALTHY
-        assert gate.snapshot() == {"enabled": False, "state": HEALTHY}
+        snapshot = gate.snapshot()
+        assert snapshot["overload"] is False
+        assert snapshot["capacity_seconds"] is None
+        assert (snapshot["inflight"], snapshot["reserved_seconds"]) == (0, 0.0)
+
+
+class TestAdmissionGateAccounting:
+    """The merged gate's bookkeeping on the injected clock."""
+
+    LIMITS = AdmissionLimits(max_request_seconds=8.0, max_samples=9,
+                             max_inflight=3)
+
+    def make_gate(self, **overrides):
+        return FlatPricedGate(self.LIMITS, tight_config(**overrides),
+                              ManualClock())
+
+    def test_permanent_rejections_never_enter_the_backlog(self):
+        gate = self.make_gate(max_queue_wait=10.0)
+        held = [gate.admit((), 4.0), gate.admit((), 4.0), gate.admit((), 1.0)]
+        assert gate.snapshot()["state"] == OVERLOADED
+        assessed = []
+        real_assess = gate.monitor.assess
+        gate.monitor.assess = lambda u: assessed.append(u) or real_assess(u)
+        # Over the sample budget, then over the price ceiling: both fail on
+        # every retry, so they are refused before any transient check — no
+        # health assessment, no backlog wait, no queued seconds, no hint.
+        for size, limit in ((10.0, "max_samples"),
+                            (8.5, "max_request_seconds")):
+            with pytest.raises(RequestError) as excinfo:
+                gate.admit((), size)
+            assert excinfo.value.code == "admission-rejected"
+            assert excinfo.value.details["limit"] == limit
+            assert excinfo.value.retry_after is None
+        assert assessed == []
+        snapshot = gate.snapshot()
+        assert snapshot["queued_seconds"] == 0.0
+        assert snapshot["reserved_seconds"] == 9.0
+        assert snapshot["rejected"] == 2
+        for ticket in held:
+            ticket.release()
+
+    def test_transient_rejections_share_one_retry_after_source(self):
+        drain = 0.5
+        # Inflight cap: 3 slots held (reserved 4.5), a fourth priced 2.0.
+        gate = self.make_gate(drain_rate=drain, capacity_seconds=100.0,
+                              backlog_seconds=100.0)
+        held = [gate.admit((), 1.5) for _ in range(3)]
+        with pytest.raises(RequestError) as excinfo:
+            gate.admit((), 2.0)
+        assert excinfo.value.details["limit"] == "max_inflight"
+        assert excinfo.value.retry_after == retry_after_hint(4.5 + 2.0, drain)
+        for ticket in held:
+            ticket.release()
+        # Backlog: nothing reserved, priced 6.0 over a 5.0 backlog.
+        gate = self.make_gate(drain_rate=drain)
+        with pytest.raises(RequestError) as excinfo:
+            gate.admit((), 6.0)
+        assert excinfo.value.details["limit"] == "backlog"
+        assert excinfo.value.retry_after == retry_after_hint(6.0, drain)
+        # Capacity: 8.0 reserved, 7.0 queued for a wait that expires at once.
+        gate = self.make_gate(drain_rate=drain, backlog_seconds=8.0,
+                              degraded_utilisation=0.91,
+                              overloaded_utilisation=0.95)
+        held = [gate.admit((), 4.0), gate.admit((), 4.0)]
+        with pytest.raises(RequestError) as excinfo:
+            gate.admit((), 7.0)
+        assert excinfo.value.details["limit"] == "capacity"
+        assert excinfo.value.retry_after == retry_after_hint(8.0 + 7.0, drain)
+        for ticket in held:
+            ticket.release()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_any_interleaving_drains_to_exactly_zero(self, seed):
+        rng = random.Random(seed)
+        gate = self.make_gate(capacity_seconds=3.0, backlog_seconds=2.0,
+                              degraded_utilisation=0.6,
+                              overloaded_utilisation=0.9)
+        held = []
+        for _ in range(300):
+            if held and rng.random() < 0.45:
+                ticket = held.pop(rng.randrange(len(held)))
+                ticket.release()
+                if rng.random() < 0.3:
+                    ticket.release()  # double release is a no-op
+            else:
+                try:
+                    held.append(gate.admit((), rng.choice(
+                        (0.0, 0.1, 0.2, 0.7, 1.3, 2.9, 8.5, 10.0))))
+                except RequestError:
+                    pass
+            snapshot = gate.snapshot()
+            assert snapshot["inflight"] == len(held)
+            assert snapshot["reserved_seconds"] >= 0.0
+            assert snapshot["queued_seconds"] == 0.0
+        for ticket in held:
+            ticket.release()
+        snapshot = gate.snapshot()
+        assert snapshot["admitted"] > 0 and snapshot["rejected"] > 0
+        assert snapshot["inflight"] == 0
+        assert snapshot["reserved_seconds"] == 0.0
+
+    def test_threaded_hammer_keeps_exact_accounting(self):
+        # Real clock and a short queue wait, so waiters really block on the
+        # condition; more threads than cores and a tiny switch interval make
+        # a lost update in the shared ledger likely to show.
+        gate = FlatPricedGate(self.LIMITS, tight_config(
+            capacity_seconds=3.0, backlog_seconds=2.0, max_queue_wait=0.002,
+            degraded_utilisation=0.9, overloaded_utilisation=0.95,
+        ), time.monotonic)
+        errors = []
+
+        def worker(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(200):
+                    try:
+                        ticket = gate.admit((), rng.choice((0.0, 0.1, 0.7, 1.3)))
+                    except RequestError:
+                        continue
+                    ticket.release()
+            except Exception as error:  # noqa: BLE001 - surfaced below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        snapshot = gate.snapshot()
+        assert snapshot["admitted"] + snapshot["rejected"] == 6 * 200
+        assert snapshot["inflight"] == 0
+        assert snapshot["reserved_seconds"] == 0.0
+        assert snapshot["queued_seconds"] == 0.0
 
 
 class TestBreakerRegistry:
@@ -405,7 +563,7 @@ class TestServiceOverloadIntegration:
             assert error["retry_after"] >= 1
             stats = svc.handle({"kind": "stats"})["result"]
             assert stats["counters"]["shed_requests"] == 1
-            assert stats["overload"]["sheds"] == 1
+            assert stats["admission"]["rejected"] == 1
             assert stats["admission"]["inflight"] == 0
 
     def test_health_always_served_and_reflects_overload(self):
@@ -432,7 +590,7 @@ class TestServiceOverloadIntegration:
             assert shed["error"]["code"] == "overloaded"
             assert shed["error"]["retry_after"] >= 1
             # ...and recovery needs clean signals plus the dwell.
-            monitor = svc._monitor
+            monitor = svc.admission.monitor
             for _ in range(12):
                 monitor.record(0.0, deadline_missed=False)
             clock.advance(2.0)
@@ -471,7 +629,7 @@ class TestServiceOverloadIntegration:
             stats = svc.handle({"kind": "stats"})["result"]
             assert stats["breakers"]["rejections"] >= 1
             assert stats["admission"]["inflight"] == 0
-            assert stats["admission"]["inflight_seconds"] == 0.0
+            assert stats["admission"]["reserved_seconds"] == 0.0
 
     def test_watchdog_surfaces_stuck_requests_in_health(self):
         clock = ManualClock()
@@ -494,8 +652,8 @@ class TestServiceOverloadIntegration:
             with make_service(warm_on_start=False, overload=True) as guarded:
                 assert plain.handle(request) == guarded.handle(request)
                 stats = plain.handle({"kind": "stats"})["result"]
-                assert stats["overload"] == {"enabled": False,
-                                             "state": HEALTHY}
+                assert stats["admission"]["overload"] is False
+                assert stats["admission"]["state"] == HEALTHY
                 assert not stats["breakers"]["enabled"]
 
 
@@ -828,9 +986,8 @@ class TestChaosSoak:
             # ---- the drain invariant: EXACTLY zero, not approximately ----
             stats = ServerClient(port=server.port).stats()
             assert stats["admission"]["inflight"] == 0
-            assert stats["admission"]["inflight_seconds"] == 0.0
-            assert stats["overload"]["reserved_seconds"] == 0.0
-            assert stats["overload"]["queued_seconds"] == 0.0
+            assert stats["admission"]["reserved_seconds"] == 0.0
+            assert stats["admission"]["queued_seconds"] == 0.0
             assert stats["watchdog"]["active"] == 0
             assert stats["counters"]["ok"] > 0
             # ---- purity: the soaked server's warm state is uncorrupted ---

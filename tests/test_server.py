@@ -22,6 +22,7 @@ from repro.joins.query import JoinQuery
 from repro.relational.relation import Relation
 from repro.sampling.join_sampler import JoinSampler
 from repro.server import (
+    AdmissionController,
     AdmissionLimits,
     SamplingService,
     ServerClient,
@@ -219,6 +220,32 @@ class TestAdmissionControl:
             assert stats["admission"]["admitted"] >= 1
             assert stats["admission"]["rejected"] >= 1
             assert stats["admission"]["inflight"] == 0
+
+
+class TestAdmissionPricing:
+    def test_warm_price_runs_each_ratio_pass_once_per_query(self, monkeypatch):
+        import repro.analysis.cost as cost
+        from repro.server import admission
+
+        queries = [make_chain("a"), make_chain("b")]
+        # The warm price is the full price minus the setup-only price, per
+        # query, minimized over backends — pinned bit for bit.
+        expected = 0.0
+        for query in queries:
+            full = cost.estimate_backend_costs(query, 500)
+            setup = cost.estimate_backend_costs(query, 0)
+            expected += min(full[name] - setup[name] for name in full)
+        calls = {"acceptance_ratio": 0, "walk_success_ratio": 0}
+        for name in calls:
+            def counted(query, _real=getattr(cost, name), _name=name):
+                calls[_name] += 1
+                return _real(query)
+
+            monkeypatch.setattr(cost, name, counted)
+            monkeypatch.setattr(admission, name, counted, raising=False)
+        priced = AdmissionController().price(queries, 500, warm=True)
+        assert calls == {"acceptance_ratio": 2, "walk_success_ratio": 2}
+        assert priced == expected
 
 
 class TestEpochConsistency:
@@ -536,7 +563,7 @@ class TestAdmissionLeakRegression:
                 assert response["error"]["code"] == "internal"
             stats = self.admission_stats(svc)
             assert stats["inflight"] == 0
-            assert stats["inflight_seconds"] == 0.0
+            assert stats["reserved_seconds"] == 0.0
             # A well-formed request still gets through afterwards.
             ok = svc.handle({
                 "kind": "sample", "query": svc.workload.query_names[0],
@@ -556,7 +583,7 @@ class TestAdmissionLeakRegression:
                        for r in responses)
             stats = self.admission_stats(svc)
             assert stats["inflight"] == 0
-            assert stats["inflight_seconds"] == 0.0
+            assert stats["reserved_seconds"] == 0.0
 
     def test_failed_sample_releases_slot(self):
         # The sample path shares the ticket discipline: an unknown weights
@@ -570,7 +597,7 @@ class TestAdmissionLeakRegression:
             assert response["error"]["code"] in ("deadline-exceeded", "empty-result")
             stats = self.admission_stats(svc)
             assert stats["inflight"] == 0
-            assert stats["inflight_seconds"] == 0.0
+            assert stats["reserved_seconds"] == 0.0
 
 
 class TestPrototypeSingleBuild:

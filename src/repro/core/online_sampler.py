@@ -115,7 +115,6 @@ class OnlineUnionSampler:
                 for q, s in zip(self.queries, sampler_seeds)
             }
             self.membership = UnionMembershipIndex(self.queries)
-            self._membership_cache: Dict[Tuple[str, Tuple], bool] = {}
             #: per-join uniform sample values, refilled block-wise
             self._value_queues: Dict[str, Deque[Tuple]] = {
                 n: deque() for n in self.names
@@ -163,7 +162,7 @@ class OnlineUnionSampler:
             self._accepted = []
             self._value_slots = {}
             self._live_count = 0
-            self._membership_cache.clear()
+            self.membership.forget()
             for queue in self._value_queues.values():
                 queue.clear()
             self.confidence_level = 0.0
@@ -316,10 +315,11 @@ class OnlineUnionSampler:
                 return old.overlap(members)
             others = [n for n in members if n != pivot]
             total_weight = sum(r.weight for r in records)
+            inside = self.membership.contained_in_all(others, [r.value for r in records])
             hit_weight = 0.0
             hits = 0
-            for record in records:
-                if all(self._contains(name, record.value) for name in others):
+            for record, hit in zip(records, inside.tolist()):
+                if hit:
                     hit_weight += record.weight
                     hits += 1
             if total_weight <= 0:
@@ -379,12 +379,6 @@ class OnlineUnionSampler:
         self._value_slots = slots
         self._live_count = len(retained)
         self.stats.backtrack_removed += removed
-
-    def _contains(self, query_name: str, value: Tuple) -> bool:
-        key = (query_name, value)
-        if key not in self._membership_cache:
-            self._membership_cache[key] = self.membership.contains(query_name, value)
-        return self._membership_cache[key]
 
 
 __all__ = ["OnlineUnionSampler"]

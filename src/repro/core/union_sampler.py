@@ -21,6 +21,14 @@ Three set-union selection/deduplication policies are provided:
   membership probe enforces the lowest-index cover exactly.  Every accepted
   tuple then has probability exactly ``1/|U|`` — this is the variant used by
   the statistical uniformity tests.
+
+Bernoulli and strict run their iterations in *batches*: one selection draw
+for the whole batch, one ``sample_block`` per selected join, and one batched
+membership probe per (join, earlier join) pair
+(:meth:`~repro.joins.membership.UnionMembershipIndex.owned_by_earlier`).
+Accepted tuples are then emitted in iteration order — never grouped by join —
+and the batch stops at the iteration that completes the request, so a
+truncated request cannot favour low-index joins.
 """
 
 from __future__ import annotations
@@ -28,6 +36,8 @@ from __future__ import annotations
 import time
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.result import SampleResult, SamplingStats, UnionSample
 from repro.estimation.base import UnionSizeEstimator
@@ -37,6 +47,9 @@ from repro.joins.query import JoinQuery, check_union_compatible
 from repro.sampling.blocks import SampleBlock
 from repro.sampling.join_sampler import JoinSampler
 from repro.utils.rng import BatchedCategorical, RandomState, ensure_rng, spawn_rngs
+
+#: upper bound on the iterations one batch of a batched sampler runs
+MAX_BATCH_ITERATIONS = 1 << 16
 
 
 def drain_value_queue(
@@ -65,6 +78,8 @@ class UnionSamplerBase:
     """Shared machinery: per-join samplers, selection distribution, timing."""
 
     algorithm = "base"
+    #: lowest-index-cover probes of the set-union samplers (None: not needed)
+    membership: Optional[UnionMembershipIndex] = None
 
     def __init__(
         self,
@@ -107,6 +122,15 @@ class UnionSamplerBase:
         """One sampler iteration; returns the samples accepted in it."""
         raise NotImplementedError
 
+    def _advance(self, needed: int, budget: int) -> List[UnionSample]:
+        """Run at most ``budget`` iterations toward ``needed`` more samples.
+
+        Counts the iterations it runs and returns the samples they accepted,
+        in iteration order.  The default runs a single :meth:`_iterate`.
+        """
+        self.stats.iterations += 1
+        return self._iterate()
+
     # ----------------------------------------------------------------- public
     def sample(self, count: int) -> SampleResult:
         """Draw ``count`` samples from the union (with replacement)."""
@@ -115,14 +139,14 @@ class UnionSamplerBase:
         accepted: List[UnionSample] = []
         max_iterations = max(count, 1) * self.max_iterations_factor
         while len(accepted) < count:
-            if self.stats.iterations >= max_iterations:
+            budget = max_iterations - self.stats.iterations
+            if budget <= 0:
                 raise RuntimeError(
                     f"{type(self).__name__} exceeded {max_iterations} iterations "
                     f"while collecting {count} samples (rejection rate too high)"
                 )
-            self.stats.iterations += 1
             started = time.perf_counter()
-            new_samples = self._iterate()
+            new_samples = self._advance(count - len(accepted), budget)
             elapsed = time.perf_counter() - started
             if new_samples:
                 self.stats.timer.add("accepted", elapsed)
@@ -145,19 +169,45 @@ class UnionSamplerBase:
         self.stats.join_sampler_attempts = attempts
         self.stats.join_sampler_rejections = attempts - accepted
 
-    def _select_join(self, probabilities: Dict[str, float]) -> str:
-        """Select a join; selections are drawn one multinomial batch at a time."""
+    def _selector_for(self, probabilities: Dict[str, float]) -> BatchedCategorical:
+        """The batched join selector for ``probabilities`` (rebuilt on change)."""
         if self._selector is None or self._selector_source is not probabilities:
             weights = [probabilities.get(n, 0.0) for n in self.names]
             self._selector = BatchedCategorical(self.rng, self.names, weights)
             self._selector_source = probabilities
-        return self._selector.draw()
+        return self._selector
+
+    def _select_join(self, probabilities: Dict[str, float]) -> str:
+        """Select a join; selections are drawn one multinomial batch at a time."""
+        return self._selector_for(probabilities).draw()
 
     def _draw_value(self, join_name: str) -> Tuple:
         self.stats.record_draw(join_name)
         return drain_value_queue(
             self.join_samplers[join_name], self._value_queues[join_name]
         )
+
+    def _draw_owned(self, counts: np.ndarray) -> Dict[int, Tuple[List[Tuple], List[bool]]]:
+        """``counts[j]`` uniform sample values of join ``j`` (one block per join),
+        each with whether a lower-index join already contains it."""
+        assert self.membership is not None
+        drawn: Dict[int, Tuple[List[Tuple], List[bool]]] = {}
+        for position in np.flatnonzero(counts).tolist():
+            sampler = self.join_samplers[self.names[position]]
+            values = sampler.sample_block(int(counts[position])).values(sampler.query)
+            owned = self.membership.owned_by_earlier(position, values).tolist()
+            drawn[position] = (values, owned)
+        return drawn
+
+    def _batch_size(self, needed: int, budget: int, expected_rate: float) -> int:
+        """Iterations expected to yield ``needed`` samples, with 10% slack.
+
+        The acceptance rate observed so far replaces ``expected_rate`` once
+        any sample was accepted.
+        """
+        rate = self.stats.accepted / self.stats.iterations if self.stats.accepted else expected_rate
+        size = int(needed / max(rate, 1e-3) * 1.1) + 16
+        return max(1, min(size, budget, MAX_BATCH_ITERATIONS))
 
 
 class DisjointUnionSampler(UnionSamplerBase):
@@ -194,27 +244,46 @@ class BernoulliUnionSampler(UnionSamplerBase):
         super().__init__(*args, **kwargs)
         self.membership = membership or UnionMembershipIndex(self.queries)
 
-    def _iterate(self) -> List[UnionSample]:
+    def _advance(self, needed: int, budget: int) -> List[UnionSample]:
+        """A batch of iterations: one selection matrix, then draws and probes.
+
+        Row ``i`` of the ``(iterations, joins)`` selection matrix is
+        iteration ``i``; the batch ends with the iteration that completes
+        ``needed`` samples, and its accepted tuples come back in
+        (iteration, join) order.
+        """
         union_size = max(self.parameters.union_size, 1e-12)
+        probabilities = np.array(
+            [min(self.parameters.join_sizes[n] / union_size, 1.0) for n in self.names]
+        )
+        expected = float(
+            sum(self.parameters.cover_sizes.get(n, 0.0) for n in self.names) / union_size
+        )
+        size = self._batch_size(needed, budget, expected)
+        selected = self.rng.random((size, len(self.names))) < probabilities
+        drawn = self._draw_owned(selected.sum(axis=0))
+        cursor = dict.fromkeys(drawn, 0)
+        first = self.stats.iterations
         accepted: List[UnionSample] = []
-        selections = self.rng.random(len(self.queries))
-        for position, query in enumerate(self.queries):
-            probability = min(self.parameters.join_sizes[query.name] / union_size, 1.0)
-            if selections[position] >= probability:
-                self.stats.rejected_not_selected += 1
-                continue
-            value = self._draw_value(query.name)
-            if self._owned_by_earlier(position, value):
+        used = size
+        for iteration, position in zip(*(axis.tolist() for axis in np.nonzero(selected))):
+            if iteration >= used:
+                break
+            values, owned = drawn[position]
+            slot = cursor[position]
+            cursor[position] = slot + 1
+            if owned[slot]:
                 self.stats.rejected_duplicate += 1
                 continue
-            accepted.append(UnionSample(value, query.name, self.stats.iterations))
+            name = self.names[position]
+            accepted.append(UnionSample(values[slot], name, first + iteration + 1))
+            if len(accepted) >= needed:
+                used = iteration + 1  # finish this iteration, then stop
+        for position, consumed in cursor.items():
+            self.stats.record_draw(self.names[position], consumed)
+        self.stats.rejected_not_selected += used * len(self.names) - sum(cursor.values())
+        self.stats.iterations += used
         return accepted
-
-    def _owned_by_earlier(self, position: int, value: Tuple) -> bool:
-        for earlier in self.queries[:position]:
-            if self.membership.contains(earlier.name, value):
-                return True
-        return False
 
 
 class SetUnionSampler(UnionSamplerBase):
@@ -271,18 +340,10 @@ class SetUnionSampler(UnionSamplerBase):
 
     # -------------------------------------------------------------- iteration
     def _iterate(self) -> List[UnionSample]:
+        """One record-mode iteration (Algorithm 1 as printed)."""
         join_name = self._select_join(self._probabilities)
         position = self._positions[join_name]
         value = self._draw_value(join_name)
-
-        if self.mode == "strict":
-            if self._owned_by_earlier(position, value):
-                self.stats.rejected_duplicate += 1
-                return []
-            sample = UnionSample(value, join_name, self.stats.iterations)
-            self._accept(sample)
-            return [sample]
-
         recorded = self._orig_join.get(value)
         if recorded is not None and recorded < position:
             # Already owned by an earlier join in the cover order: reject.
@@ -298,12 +359,41 @@ class SetUnionSampler(UnionSamplerBase):
         self._accept(sample)
         return [sample]
 
-    def _owned_by_earlier(self, position: int, value: Tuple) -> bool:
-        assert self.membership is not None
-        for earlier in self.queries[:position]:
-            if self.membership.contains(earlier.name, value):
-                return True
-        return False
+    def _advance(self, needed: int, budget: int) -> List[UnionSample]:
+        """Strict mode: a batch of iterations toward ``needed`` samples.
+
+        One multinomial selection for the whole batch, one block per selected
+        join, one ownership probe per (join, earlier join); the batch ends at
+        the iteration that accepts the ``needed``-th sample.
+        """
+        if self.mode == "record":
+            return super()._advance(needed, budget)
+        sizes = self.parameters.join_sizes
+        expected = self.parameters.union_size / max(sum(sizes[n] for n in self.names), 1e-12)
+        picks = self._selector_for(self._probabilities).draw_indices(
+            self._batch_size(needed, budget, expected)
+        ).tolist()
+        drawn = self._draw_owned(np.bincount(picks, minlength=len(self.names)))
+        cursor = dict.fromkeys(drawn, 0)
+        first = self.stats.iterations
+        accepted: List[UnionSample] = []
+        used = 0
+        for used, position in enumerate(picks, start=1):
+            values, owned = drawn[position]
+            slot = cursor[position]
+            cursor[position] = slot + 1
+            if owned[slot]:
+                self.stats.rejected_duplicate += 1
+                continue
+            sample = UnionSample(values[slot], self.names[position], first + used)
+            self._accept(sample)
+            accepted.append(sample)
+            if len(accepted) >= needed:
+                break
+        for position, consumed in cursor.items():
+            self.stats.record_draw(self.names[position], consumed)
+        self.stats.iterations += used
+        return accepted
 
     def _accept(self, sample: UnionSample) -> None:
         """Record an accepted sample and index its slot for later revisions."""
@@ -332,14 +422,14 @@ class SetUnionSampler(UnionSamplerBase):
             raise ValueError("count must be non-negative")
         max_iterations = max(count, 1) * self.max_iterations_factor
         while self._live_count < count:
-            if self.stats.iterations >= max_iterations:
+            budget = max_iterations - self.stats.iterations
+            if budget <= 0:
                 raise RuntimeError(
                     f"SetUnionSampler exceeded {max_iterations} iterations while "
                     f"collecting {count} samples"
                 )
-            self.stats.iterations += 1
             started = time.perf_counter()
-            new_samples = self._iterate()
+            new_samples = self._advance(count - self._live_count, budget)
             elapsed = time.perf_counter() - started
             if new_samples:
                 self.stats.timer.add("accepted", elapsed)

@@ -144,15 +144,24 @@ class JoinTree:
             right_values = right.column_array(cond.right_attribute)[
                 assignments[cond.right_relation]
             ]
-            equal = np.asarray(left_values == right_values)
-            if equal.shape != (size,):  # mixed-dtype comparison collapsed
-                equal = np.fromiter(
-                    (a == b for a, b in zip(left_values.tolist(), right_values.tolist())),
-                    dtype=bool,
-                    count=size,
-                )
-            ok &= equal
+            ok &= equal_mask(left_values, right_values)
         return ok
+
+
+def equal_mask(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Elementwise ``left == right`` over two equal-length arrays.
+
+    A mixed-dtype comparison that NumPy collapses to one scalar falls back
+    to Python equality per element, the semantics of the row-wise checks.
+    """
+    equal = np.asarray(left == right)
+    if equal.shape != (len(left),):
+        equal = np.fromiter(
+            (a == b for a, b in zip(left.tolist(), right.tolist())),
+            dtype=bool,
+            count=len(left),
+        )
+    return equal
 
 
 def build_join_tree(query: JoinQuery, root: Optional[str] = None) -> JoinTree:
@@ -220,4 +229,4 @@ def _edge_bound(
     return child_rel.statistics_on_columns(child_attrs).max_degree
 
 
-__all__ = ["JoinTree", "JoinTreeNode", "build_join_tree"]
+__all__ = ["JoinTree", "JoinTreeNode", "build_join_tree", "equal_mask"]

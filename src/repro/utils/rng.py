@@ -181,15 +181,16 @@ class BatchedCategorical:
         self._batch_size = batch_size
         self._queue: list[object] = []
 
+    def draw_indices(self, size: int) -> np.ndarray:
+        """``size`` item indices in one multinomial draw (bypasses the queue)."""
+        if self._probabilities is None:
+            return self._rng.integers(0, len(self._items), size=size)
+        return self._rng.choice(len(self._items), size=size, p=self._probabilities)
+
     def draw(self) -> object:
         """One item, drawn with probability proportional to its weight."""
         if not self._queue:
-            if self._probabilities is None:
-                indices = self._rng.integers(0, len(self._items), size=self._batch_size)
-            else:
-                indices = self._rng.choice(
-                    len(self._items), size=self._batch_size, p=self._probabilities
-                )
+            indices = self.draw_indices(self._batch_size)
             self._queue = [self._items[int(i)] for i in indices]
             self._queue.reverse()  # pop() consumes in draw order
         return self._queue.pop()

@@ -11,9 +11,14 @@ The companion fixed-seed RNG fixture lives in ``conftest.py`` (``stat_rng``).
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Sequence, Tuple, Union
+from typing import Callable, Hashable, Iterable, Mapping, Sequence, Tuple, Union
 
-from repro.analysis.uniformity import ChiSquareResult, chi_square_uniformity
+from repro.analysis.uniformity import (
+    ChiSquareResult,
+    chi_square_sf,
+    chi_square_uniformity,
+    frequency_table,
+)
 
 #: One shared seed for statistical fixtures: tests stay deterministic, and a
 #: future re-seed (if a fixed stream ever lands on an unlucky tail) is one
@@ -38,6 +43,34 @@ def assert_uniform(
         f"n={result.sample_size} over {result.population_size} values"
     )
     return result
+
+
+def assert_follows(
+    samples: Iterable[Hashable],
+    probabilities: Mapping[Hashable, float],
+    alpha: float = 0.001,
+) -> float:
+    """Assert the samples are chi-square-compatible with ``probabilities``.
+
+    Cells with probability 0 must stay empty, as must values outside the
+    mapping.  Returns the p-value.
+    """
+    counts = frequency_table(samples)
+    n = sum(counts.values())
+    assert n > 0, "at least one sample is required"
+    impossible = {v: c for v, c in counts.items() if probabilities.get(v, 0.0) <= 0}
+    assert not impossible, f"samples hit zero-probability cells: {impossible}"
+    cells = [v for v, p in probabilities.items() if p > 0]
+    statistic = sum(
+        (counts.get(v, 0) - n * probabilities[v]) ** 2 / (n * probabilities[v]) for v in cells
+    )
+    p_value = chi_square_sf(statistic, len(cells) - 1) if len(cells) > 1 else 1.0
+    observed = {v: counts.get(v, 0) / n for v in cells}
+    assert p_value >= alpha, (
+        f"distribution rejected at alpha={alpha}: chi2={statistic:.2f}, p={p_value:.2e}, "
+        f"observed {observed} vs expected {dict(probabilities)}"
+    )
+    return p_value
 
 
 def assert_no_catastrophic_bias(
@@ -117,6 +150,7 @@ def assert_ci_coverage(
 __all__ = [
     "STAT_SEED",
     "assert_uniform",
+    "assert_follows",
     "assert_no_catastrophic_bias",
     "assert_ci_coverage",
 ]

@@ -1,9 +1,16 @@
-"""Tests for repro.joins.membership (the hash-probe membership check)."""
+"""Tests for repro.joins.membership (the batched semi-join membership probe)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.joins.conditions import JoinCondition, OutputAttribute
 from repro.joins.executor import join_result_set
 from repro.joins.membership import JoinMembershipProber, UnionMembershipIndex
+from repro.joins.query import JoinQuery
+from repro.relational.relation import Relation
+
+from tests.conftest import make_chain_query
+from tests.membership_oracle import BacktrackingProber
 
 
 class TestJoinMembershipProber:
@@ -84,3 +91,157 @@ class TestExhaustiveAgreement:
             for a in a_values:
                 for c in c_values:
                     assert prober.contains((a, c)) == ((a, c) in results)
+
+
+# ------------------------------------------------------- batched vs oracle
+#: key domains; string keys exercise the dict path of the CSR slot lookup
+KEY_DOMAINS = {"int": [0, 1, 2], "str": ["k0", "k1", "k2"]}
+#: output fields take small ints so generated candidates often hit
+FIELDS = st.integers(0, 2)
+#: a field value no relation holds
+ABSENT = 99
+
+
+def _rows(draw, width_keys, width_fields, key_domain):
+    keys = st.sampled_from(key_domain)
+    return draw(
+        st.lists(
+            st.tuples(*([keys] * width_keys), *([FIELDS] * width_fields)),
+            max_size=7,
+        )
+    )
+
+
+@st.composite
+def probe_cases(draw):
+    """A generated join, its oracle, and a batch of candidate values.
+
+    Shapes: a 3-relation chain, a 3-relation star and a triangle whose third
+    condition closes the cycle (a residual).  Joins are composite (two key
+    columns per edge) or single-key, on int or string keys; ``root_output``
+    False leaves the first relation without output attributes.
+    """
+    shape = draw(st.sampled_from(["chain", "star", "triangle"]))
+    domain = KEY_DOMAINS[draw(st.sampled_from(sorted(KEY_DOMAINS)))]
+    composite = draw(st.booleans())
+    root_output = draw(st.booleans())
+    key_names = ["k", "kk"] if composite else ["k"]
+    width = len(key_names)
+    if shape == "chain":
+        # R(k.., a) - S(k.., m, s) - T(m, t)
+        r = Relation("R", [*key_names, "a"], _rows(draw, width, 1, domain))
+        s = Relation("S", [*key_names, "m", "s"], _rows(draw, width + 1, 1, domain))
+        t = Relation("T", ["m", "t"], _rows(draw, 1, 1, domain))
+        conditions = [JoinCondition("R", k, "S", k) for k in key_names]
+        conditions.append(JoinCondition("S", "m", "T", "m"))
+        outputs = [("s", "S", "s"), ("t", "T", "t")]
+    elif shape == "star":
+        # center C(k.., m, c) with leaves D(k.., d) and E(m, e)
+        r = Relation("C", [*key_names, "m", "c"], _rows(draw, width + 1, 1, domain))
+        s = Relation("D", [*key_names, "d"], _rows(draw, width, 1, domain))
+        t = Relation("E", ["m", "e"], _rows(draw, 1, 1, domain))
+        conditions = [JoinCondition("C", k, "D", k) for k in key_names]
+        conditions.append(JoinCondition("C", "m", "E", "m"))
+        outputs = [("d", "D", "d"), ("e", "E", "e")]
+    else:
+        # R(k.., a) - S(k.., m, s) - T(m, a), closed on a
+        r = Relation("R", [*key_names, "a"], _rows(draw, width, 1, domain))
+        s = Relation("S", [*key_names, "m", "s"], _rows(draw, width + 1, 1, domain))
+        t = Relation("T", ["m", "a"], _rows(draw, 1, 1, domain))
+        conditions = [JoinCondition("R", k, "S", k) for k in key_names]
+        conditions += [JoinCondition("S", "m", "T", "m"), JoinCondition("T", "a", "R", "a")]
+        outputs = [("s", "S", "s"), ("m", "T", "m")]
+    root_field = "c" if shape == "star" else "a"
+    if root_output:
+        outputs.insert(0, ("root", r.name, root_field))
+    query = JoinQuery(
+        f"hyp-{shape}",
+        [r, s, t],
+        conditions,
+        [OutputAttribute(name, relation, attr) for name, relation, attr in outputs],
+    )
+    members = sorted(join_result_set(query), key=repr)
+    domains = []
+    for _, relation, attr in outputs:
+        domains.append(domain if attr == "m" else [0, 1, 2])
+    candidates = st.tuples(*(st.sampled_from(d) for d in domains))
+    absent = st.tuples(*(st.just(ABSENT) for _ in domains))
+    pool = [candidates, absent]
+    if members:
+        pool.append(st.sampled_from(members))
+    batch = draw(st.lists(st.one_of(*pool), max_size=12))
+    if batch and draw(st.booleans()):
+        batch = batch + batch[: draw(st.integers(1, len(batch)))]  # duplicates
+    return query, set(members), batch
+
+
+class TestContainsManyAgainstOracle:
+    @given(case=probe_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_batched_probe_matches_backtracking_oracle(self, case):
+        query, members, batch = case
+        prober = JoinMembershipProber(query)
+        oracle = BacktrackingProber(query)
+        mask = prober.contains_many(batch)
+        assert mask.dtype == bool and mask.shape == (len(batch),)
+        expected = [oracle.contains(value) for value in batch]
+        assert mask.tolist() == expected
+        assert expected == [value in members for value in batch]
+
+    def test_root_without_output_attribute_is_reseeded(self, union_pair):
+        # R carries no output attribute in this query: the probe re-roots at S
+        query = make_chain_query(
+            "noroot", r_rows=[(1, 10), (2, 20)], s_rows=[(10, 100), (20, 300)],
+            output=("c",),
+        )
+        prober = JoinMembershipProber(query)
+        assert prober.tree.root.relation == "S"
+        assert prober.contains_many([(100,), (300,), (200,)]).tolist() == [True, True, False]
+
+    def test_empty_batch(self, chain_query):
+        mask = JoinMembershipProber(chain_query).contains_many([])
+        assert mask.shape == (0,) and mask.dtype == bool
+
+    def test_duplicates_and_absent_values(self, chain_query):
+        prober = JoinMembershipProber(chain_query)
+        batch = [(1, 100, 7), (99, 99, 99), (1, 100, 7), ("x", "y", "z")]
+        assert prober.contains_many(batch).tolist() == [True, False, True, False]
+
+    def test_batch_with_wrong_width_raises(self, chain_query):
+        prober = JoinMembershipProber(chain_query)
+        with pytest.raises(ValueError, match="fields"):
+            prober.contains_many([(1, 100, 7), (1, 100)])
+
+    def test_cyclic_batch_matches_oracle(self, cyclic_query):
+        candidates = [(a, b, c) for a in (1, 7, 9) for b in (2, 3) for c in (4, 5)]
+        oracle = BacktrackingProber(cyclic_query)
+        mask = JoinMembershipProber(cyclic_query).contains_many(candidates)
+        assert mask.tolist() == [oracle.contains(v) for v in candidates]
+        assert mask.sum() == 2
+
+
+class TestUnionMembershipBatches:
+    def test_owned_by_earlier_is_lowest_index_cover(self, union_triple):
+        index = UnionMembershipIndex(union_triple)
+        values = [(1, 100), (2, 300), (3, 400), (5, 500), (8, 800)]
+        owners = [index.owner(v) for v in values]
+        for position, query in enumerate(union_triple):
+            owned = index.owned_by_earlier(position, values).tolist()
+            expected = [
+                owner is not None and [q.name for q in union_triple].index(owner) < position
+                for owner in owners
+            ]
+            assert owned == expected, query.name
+
+    def test_contained_in_all_probes_like_a_short_circuit(self, union_triple):
+        index = UnionMembershipIndex(union_triple)
+        values = [(1, 100), (2, 300), (3, 400)]
+        inside = index.contained_in_all(["J2", "J3"], values)
+        assert inside.tolist() == [True, False, False]
+        # (2, 300) is not in J2, so it is never probed in J3
+        assert set(index._memo) == {
+            ("J2", (1, 100)), ("J2", (2, 300)), ("J2", (3, 400)),
+            ("J3", (1, 100)), ("J3", (3, 400)),
+        }
+        index.forget()
+        assert not index._memo

@@ -1,5 +1,7 @@
 """Tests for repro.core.online_sampler (Algorithm 2: reuse + backtracking)."""
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +12,7 @@ import pytest
 from repro.core.online_sampler import OnlineUnionSampler
 from repro.estimation.random_walk import RandomWalkUnionEstimator
 from repro.joins.executor import join_result_set
+from repro.tpch.workloads import build_uq2, build_uq3
 
 from tests.stat_helpers import assert_no_catastrophic_bias
 
@@ -154,3 +157,63 @@ print(digest.hexdigest())
         # Overlap refinement once picked its pivot join by frozenset order,
         # so most seeds drew different samples under different hash salts.
         assert self.digest("0") == self.digest("1")
+
+
+def _parameters_body(parameters):
+    return {
+        "join_sizes": {k: repr(v) for k, v in sorted(parameters.join_sizes.items())},
+        "cover_sizes": {k: repr(v) for k, v in sorted(parameters.cover_sizes.items())},
+        "union_size": repr(parameters.union_size),
+        "overlaps": sorted((sorted(k), repr(v)) for k, v in parameters.overlaps.items()),
+    }
+
+
+def _sha256(body) -> str:
+    return hashlib.sha256(json.dumps(body, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+class TestBatchedProbeBitIdentity:
+    """The overlap refinement and the random-walk warm-up probe membership in
+    batches, but their answers and random streams must stay exactly those of
+    the per-value probe: these digests were recorded with the scalar
+    backtracking probe (UQ2/UQ3, SF 0.001, data and sampler seed 3)."""
+
+    ONLINE = {
+        "UQ2": "ef510886de5e9cb66b0507c22a5360d195ac7fcc8c633511391c975386dc889d",
+        "UQ3": "91917a07f3640a6415972a363b2d984e6a6a3faee67ef9a45a9bda259c8f279d",
+    }
+    RANDOM_WALK = {
+        "UQ2": "a70cdad333a1efdc6250245f9b9392d54fb0226c289162b6262f78a387b60f5a",
+        "UQ3": "902d1ec1dc435404ad84c6db0565c1d5d2dfedeead7729007ee281d5bcfb5844",
+    }
+
+    @pytest.fixture(scope="class", params=["UQ2", "UQ3"])
+    def workload(self, request):
+        build = {"UQ2": build_uq2, "UQ3": build_uq3}[request.param]
+        return request.param, build(scale_factor=0.001, seed=3).queries
+
+    def test_online_sampler_digest(self, workload):
+        name, queries = workload
+        result = OnlineUnionSampler(queries, seed=3).sample(500)
+        assert result.stats.backtrack_rounds > 0  # the refinement ran
+        digest = _sha256({
+            "values": [repr(s.value) for s in result.samples],
+            "sources": [s.source_join for s in result.samples],
+            "reused": [s.reused for s in result.samples],
+            "parameters": _parameters_body(result.parameters),
+            "rounds": result.stats.backtrack_rounds,
+        })
+        assert digest == self.ONLINE[name]
+
+    def test_random_walk_estimate_digest(self, workload):
+        name, queries = workload
+        estimate = RandomWalkUnionEstimator(queries, seed=3).estimate()
+        assert _sha256(_parameters_body(estimate)) == self.RANDOM_WALK[name]
+
+    def test_refresh_forgets_memoized_membership(self, union_pair):
+        sampler = OnlineUnionSampler(union_pair, seed=4, warmup="histogram", phi=10)
+        sampler.sample(60)
+        assert sampler.membership._memo
+        union_pair[1].relation("S").delete_rows([0])
+        assert sampler.refresh()
+        assert not sampler.membership._memo

@@ -11,6 +11,10 @@ from repro.core.union_sampler import (
 from repro.estimation.exact import FullJoinUnionEstimator
 from repro.estimation.histogram import HistogramUnionEstimator
 from repro.joins.executor import join_result_set
+from repro.joins.membership import JoinMembershipProber
+
+from tests.conftest import make_chain_query
+from tests.stat_helpers import STAT_SEED, assert_follows
 
 
 @pytest.fixture
@@ -171,3 +175,108 @@ class TestTimeAccounting:
         estimator = FullJoinUnionEstimator(union_triple)
         sampler = SetUnionSampler(union_triple, estimator, seed=15)
         assert sampler.stats.warmup_seconds > 0
+
+
+class TestBatchedIterations:
+    """Strict and Bernoulli run their iterations in batches; the accepted
+    stream must still come out in iteration order and the iteration guard
+    must still trip."""
+
+    SEEDS = 400
+
+    def first_sources(self, make):
+        return [
+            make(STAT_SEED + i).sample(1).samples[0].source_join for i in range(self.SEEDS)
+        ]
+
+    def test_strict_first_sample_follows_cover_sizes(self, union_triple, exact_params):
+        # One iteration accepts at most one tuple, so the first accepted
+        # tuple comes from join j with probability |J'_j| / |U|.  A batch
+        # emitted grouped by join would hand J1 nearly every first sample.
+        sources = self.first_sources(
+            lambda seed: SetUnionSampler(union_triple, exact_params, seed=seed, mode="strict")
+        )
+        expected = {
+            name: exact_params.cover_sizes[name] / exact_params.union_size
+            for name in exact_params.join_order
+        }
+        assert_follows(sources, expected)
+
+    def test_bernoulli_first_sample_follows_iteration_order(self, union_triple, exact_params):
+        # Join j accepts in an iteration with probability
+        # q_j = min(|J_j|/|U|, 1) * |J'_j|/|J_j|, independently of the other
+        # joins, and one iteration may accept several tuples.  Emitted in
+        # (iteration, join) order, the first accepted tuple is then from j
+        # with probability q_j * prod_{k<j}(1 - q_k) / (1 - prod_k(1 - q_k)).
+        sources = self.first_sources(
+            lambda seed: BernoulliUnionSampler(union_triple, exact_params, seed=seed)
+        )
+        union_size = exact_params.union_size
+        q = {
+            name: min(exact_params.join_sizes[name] / union_size, 1.0)
+            * exact_params.cover_sizes[name] / exact_params.join_sizes[name]
+            for name in exact_params.join_order
+        }
+        none_accept = 1.0
+        expected = {}
+        for name in exact_params.join_order:
+            expected[name] = q[name] * none_accept
+            none_accept *= 1.0 - q[name]
+        expected = {name: p / (1.0 - none_accept) for name, p in expected.items()}
+        assert_follows(sources, expected)
+
+    @staticmethod
+    def covered_union():
+        """J2 ⊆ J1, and only J2 can be selected: nothing is ever accepted."""
+        from repro.estimation.parameters import UnionParameters
+
+        j1 = make_chain_query("J1", r_rows=[(1, 10), (2, 20)], s_rows=[(10, 100), (20, 300)])
+        j2 = make_chain_query("J2", r_rows=[(1, 10)], s_rows=[(10, 100)])
+        parameters = UnionParameters(
+            join_order=["J1", "J2"],
+            join_sizes={"J1": 0.0, "J2": 1.0},
+            cover_sizes={"J1": 0.0, "J2": 1.0},
+            union_size=1.0,
+        )
+        return [j1, j2], parameters
+
+    @pytest.mark.parametrize("kind", ["strict", "bernoulli"])
+    def test_runaway_guard_trips_at_the_iteration_budget(self, kind):
+        queries, parameters = self.covered_union()
+        if kind == "strict":
+            sampler = SetUnionSampler(
+                queries, parameters, seed=3, mode="strict", max_iterations_factor=10
+            )
+        else:
+            sampler = BernoulliUnionSampler(
+                queries, parameters, seed=3, max_iterations_factor=10
+            )
+        with pytest.raises(RuntimeError, match="exceeded 50 iterations"):
+            sampler.sample(5)
+        # batches are cut to the remaining budget: no overshoot at all
+        assert sampler.stats.iterations == 50
+        assert sampler.stats.rejected_duplicate == 50
+
+    @pytest.mark.parametrize("kind", ["strict", "bernoulli"])
+    def test_batched_samplers_never_take_the_scalar_probe(
+        self, kind, union_triple, exact_params, monkeypatch
+    ):
+        batches = []
+        contains_many = JoinMembershipProber.contains_many
+
+        def spy(prober, values):
+            batches.append(len(values))
+            return contains_many(prober, values)
+
+        def scalar(prober, value):
+            raise AssertionError("scalar membership probe called")
+
+        monkeypatch.setattr(JoinMembershipProber, "contains_many", spy)
+        monkeypatch.setattr(JoinMembershipProber, "contains", scalar)
+        if kind == "strict":
+            sampler = SetUnionSampler(union_triple, exact_params, seed=21, mode="strict")
+        else:
+            sampler = BernoulliUnionSampler(union_triple, exact_params, seed=21)
+        result = sampler.sample(300)
+        assert len(result) == 300
+        assert batches and max(batches) > 1

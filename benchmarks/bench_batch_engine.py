@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Benchmark the batched sampling engine against the scalar reference path.
 
-Measures accepted samples/second of ``JoinSampler.try_sample`` (scalar walks)
-and ``JoinSampler.sample_batch`` (vectorized batched walks) under EW and EO
-weights, plus wander-join walk throughput, on the ``bench_micro`` workload
+Measures accepted samples/second of the scalar reference oracle
+(``tests/join_oracle.try_sample``, one walk per call) and of
+``JoinSampler.sample_block`` boxed through ``SampleBlock.to_draws`` (vectorized
+batched walks) under EW and EO weights, plus wander-join walk throughput, on the ``bench_micro`` workload
 (UQ2 at the benchmark scale).  Results are written to
 ``BENCH_batch_engine.json`` at the repository root.
 
@@ -21,6 +22,7 @@ from common import machine_info, uq2_workload, write_report
 from repro.sampling.join_sampler import JoinSampler  # noqa: E402
 from repro.sampling.wander_join import WanderJoin  # noqa: E402
 from repro.sampling.weights import ExactWeightFunction  # noqa: E402
+from tests.join_oracle import try_sample  # noqa: E402
 
 #: Scalar-path throughput of the seed revision (before the vectorized
 #: engine), measured with the same workload/scale/seed on the CI container.
@@ -32,7 +34,7 @@ def _scalar_rate(sampler: JoinSampler, seconds: float = 0.5) -> float:
     started = time.perf_counter()
     while time.perf_counter() - started < seconds:
         for _ in range(200):
-            if sampler.try_sample() is not None:
+            if try_sample(sampler) is not None:
                 accepted += 1
     return accepted / (time.perf_counter() - started)
 
@@ -41,7 +43,7 @@ def _batch_rate(sampler: JoinSampler, seconds: float = 0.5) -> float:
     accepted = 0
     started = time.perf_counter()
     while time.perf_counter() - started < seconds:
-        accepted += len(sampler.sample_batch(5000))
+        accepted += len(sampler.sample_block(5000).to_draws(sampler.query))
     return accepted / (time.perf_counter() - started)
 
 
@@ -60,8 +62,8 @@ def main() -> None:
         scalar = JoinSampler(query, weights=weights, seed=1)
         batched = JoinSampler(query, weights=weights, seed=2)
         for _ in range(100):
-            scalar.try_sample()
-        batched.sample_batch(100)
+            try_sample(scalar)
+        batched.sample_block(100)
         scalar_rate = _scalar_rate(scalar)
         batch_rate = _batch_rate(batched)
         report["results"][weights] = {

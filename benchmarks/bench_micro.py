@@ -14,6 +14,7 @@ from repro.joins.membership import JoinMembershipProber
 from repro.sampling.join_sampler import JoinSampler
 from repro.sampling.wander_join import WanderJoin
 from repro.tpch.workloads import build_uq2
+from tests.join_oracle import try_sample
 
 
 @pytest.fixture(scope="module")
@@ -28,35 +29,35 @@ def query(workload):
 
 def test_join_sampler_ew_throughput(benchmark, query):
     sampler = JoinSampler(query, weights="ew", seed=1)
-    benchmark(lambda: sampler.sample_many(20))
+    benchmark(lambda: sampler.sample_block(20).to_draws(query))
 
 
 def test_join_sampler_eo_throughput(benchmark, query):
     sampler = JoinSampler(query, weights="eo", seed=1)
-    benchmark(lambda: sampler.sample_many(20))
+    benchmark(lambda: sampler.sample_block(20).to_draws(query))
 
 
 def test_join_sampler_ew_scalar_path_throughput(benchmark, query):
-    """Scalar reference path (one walk per call), for batch-vs-scalar ratios."""
+    """Scalar reference oracle (one walk per call), for batch-vs-scalar ratios."""
     sampler = JoinSampler(query, weights="ew", seed=1)
-    benchmark(lambda: [sampler.try_sample() for _ in range(20)])
+    benchmark(lambda: [try_sample(sampler) for _ in range(20)])
 
 
 def test_join_sampler_ew_batch_throughput(benchmark, query):
     sampler = JoinSampler(query, weights="ew", seed=1)
-    sampler.sample_batch(50)  # build the level plans outside the timing
-    benchmark(lambda: sampler.sample_batch(1000))
+    sampler.sample_block(50)  # build the level plans outside the timing
+    benchmark(lambda: sampler.sample_block(1000).to_draws(query))
 
 
 def test_join_sampler_eo_batch_throughput(benchmark, query):
     sampler = JoinSampler(query, weights="eo", seed=1)
-    sampler.sample_batch(50)
-    benchmark(lambda: sampler.sample_batch(1000))
+    sampler.sample_block(50)
+    benchmark(lambda: sampler.sample_block(1000).to_draws(query))
 
 
 def test_wander_join_walk_throughput(benchmark, query):
     walker = WanderJoin(query, seed=1)
-    benchmark(lambda: walker.walks(50))
+    benchmark(lambda: walker.walk_batch(50))
 
 
 def test_wander_join_batch_walk_throughput(benchmark, query):
@@ -75,7 +76,7 @@ def test_exact_weight_build_throughput(benchmark, query):
 def test_membership_probe_throughput(benchmark, workload, query):
     prober = JoinMembershipProber(workload.queries[1])
     sampler = JoinSampler(query, weights="ew", seed=2)
-    values = [draw.value for draw in sampler.sample_many(50)]
+    values = sampler.sample_block(50).values(query)
     benchmark(lambda: [prober.contains(v) for v in values])
 
 

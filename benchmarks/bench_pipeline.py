@@ -5,8 +5,9 @@ Measures accepted samples/second of the full aggregate hot path — draw from
 the join, apply HT weighting, accumulate group contributions, report an
 estimate — in its two wirings:
 
-* **boxed** — the PR 1/PR 3 path: ``JoinSampler.sample_batch`` boxes every
-  accepted sample into a ``SampleDraw`` (value tuple + assignment dict) and
+* **boxed** — the PR 1/PR 3 path: every accepted sample of
+  ``JoinSampler.sample_block`` is boxed into a ``SampleDraw`` (value tuple +
+  assignment dict, :meth:`SampleBlock.to_draws`) and
   ``AggregateAccumulator.observe`` unpacks them row by row;
 * **block** — the columnar pipeline: ``JoinSampler.sample_block`` returns a
   struct-of-arrays :class:`~repro.sampling.blocks.SampleBlock` whose value
@@ -51,19 +52,26 @@ PARALLEL_COUNT = 20_000
 PARALLEL_SHARDS = 8
 
 
+def boxed_draws(sampler, count):
+    """``count`` draws plus the buffered surplus, boxed into SampleDraws."""
+    draws = sampler.sample_block(count).to_draws(sampler.query)
+    for block in sampler.pop_buffered_blocks():
+        draws.extend(block.to_draws(sampler.query))
+    return draws
+
+
 def boxed_rate(query, spec, seconds=SECONDS):
-    """Accepted samples/sec of the boxed sample_batch -> observe pipeline."""
+    """Accepted samples/sec of the boxed draws -> observe pipeline."""
     sampler = JoinSampler(query, weights="ew", seed=1)
     accumulator = AggregateAccumulator(spec, query.output_schema)
     total_weight = sampler.weight_function.total_weight
-    sampler.sample_batch(BATCH)  # warm plans/indexes outside the timing
-    sampler.pop_buffered()
+    sampler.sample_block(BATCH)  # warm plans/indexes outside the timing
+    sampler.pop_buffered_blocks()
     accepted = 0
     started = time.perf_counter()
     while time.perf_counter() - started < seconds:
         before = sampler.stats.attempts
-        draws = sampler.sample_batch(BATCH)
-        draws.extend(sampler.pop_buffered())
+        draws = boxed_draws(sampler, BATCH)
         accumulator.observe(
             [d.value for d in draws],
             attempts=sampler.stats.attempts - before,
@@ -111,8 +119,7 @@ def identity_check(query, spec, count=5000):
     boxed_acc = AggregateAccumulator(spec, query.output_schema)
     w = boxed_sampler.weight_function.total_weight
     before = boxed_sampler.stats.attempts
-    draws = boxed_sampler.sample_batch(count)
-    draws.extend(boxed_sampler.pop_buffered())
+    draws = boxed_draws(boxed_sampler, count)
     boxed_acc.observe(
         [d.value for d in draws], attempts=boxed_sampler.stats.attempts - before, weight=w
     )

@@ -22,6 +22,10 @@ from typing import Callable, Dict, Sequence, Tuple
 REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
+# The repository root, so scalar baselines can import the reference oracle
+# from ``tests/join_oracle.py``.
+if str(REPO_ROOT) not in sys.path:
+    sys.path.append(str(REPO_ROOT))
 
 from repro.experiments.config import BENCH_CONFIG  # noqa: E402
 from repro.tpch.workloads import build_uq1, build_uq2  # noqa: E402

@@ -48,7 +48,7 @@ def naive_union_sample(queries, per_join: int, seed: int) -> list:
     values = []
     for offset, query in enumerate(queries):
         sampler = JoinSampler(query, weights="ew", seed=seed + offset)
-        values.extend(draw.value for draw in sampler.sample_many(per_join))
+        values.extend(sampler.sample_block(per_join).values(query))
     return values
 
 

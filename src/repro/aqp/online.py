@@ -20,7 +20,7 @@ import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.cache.store import SampleCache, epoch_vector
 from repro.resilience.errors import EmptyResultError, JobDeadlineExceeded
@@ -63,7 +63,8 @@ class OnlineAggregator:
     parallelism:
         When > 1, every :meth:`step` fans its batch out across that many
         in-process sampler shards (independent seed streams derived from
-        ``seed``) and merges the partial results in shard order, so a fixed
+        ``seed``; join shards via :meth:`JoinSampler.split`) on one thread
+        pool and merges the partial results in shard order, so a fixed
         ``(seed, parallelism)`` pair is fully deterministic.  Epoch restarts
         apply to the whole shard fleet: a ``refresh()`` bump observed on any
         shard discards the accumulated state, exactly as in the sequential
@@ -155,66 +156,51 @@ class OnlineAggregator:
         self.accumulator = AggregateAccumulator(spec, schema)
         self.epochs_restarted = 0
 
-        self._walker: Optional[WanderJoin] = None
-        self._walker_shards: List[WanderJoin] = []
-        self._join_sampler: Optional[JoinSampler] = None
-        self._union_sampler = None
-        self._union_shards: List[OnlineUnionSampler] = []
-        self._union_consumed = 0
-        self._union_shard_consumed: List[int] = []
-        if self.backend == "online-union":
-            if union_sampler is not None:
-                if self.parallelism > 1:
-                    raise ValueError(
-                        "a prebuilt union_sampler cannot be sharded; drop "
-                        "union_sampler= or set parallelism=1"
-                    )
-                self._union_sampler = union_sampler
-            elif self.parallelism > 1:
-                self._union_shards = [
-                    OnlineUnionSampler(list(self.queries), seed=stream)
-                    for stream in spawn_rngs(sampler_rng, self.parallelism)
-                ]
-                self._union_sampler = self._union_shards[0]
-                self._union_shard_consumed = [0] * self.parallelism
-            else:
-                self._union_sampler = OnlineUnionSampler(
-                    list(self.queries), seed=sampler_rng
-                )
-            self._reject_degenerate_union_count()
-        elif self.backend == "wander-join":
-            if self.parallelism > 1:
-                self._walker_shards = [
-                    WanderJoin(self.queries[0], seed=stream)
-                    for stream in spawn_rngs(sampler_rng, self.parallelism)
-                ]
-                self._walker = self._walker_shards[0]
-            else:
-                self._walker = WanderJoin(self.queries[0], seed=sampler_rng)
-        else:
-            if join_sampler is not None:
-                if self.parallelism > 1:
-                    raise ValueError(
-                        "a prebuilt join_sampler carries its own parallelism; "
-                        "drop join_sampler= or set parallelism=1"
-                    )
-                # Warm server path: reuse a (possibly structure-sharing)
-                # sampler instead of rebuilding weights and alias tables.
-                join_sampler.refresh()
-                self._join_sampler = join_sampler
-            else:
-                self._join_sampler = JoinSampler(
-                    self.queries[0],
-                    weights=self.plan.weights or "ew",
-                    seed=sampler_rng,
-                    max_batch_size=max(self.batch_size, 1),
-                    parallelism=self.parallelism,
-                )
         if join_sampler is not None and self.backend in ("online-union", "wander-join"):
             raise ValueError(
                 f"join_sampler= only applies to JoinSampler backends, not "
                 f"{self.backend!r}"
             )
+        prebuilt = union_sampler if self.backend == "online-union" else join_sampler
+        if prebuilt is not None and self.parallelism > 1:
+            raise ValueError(
+                "a prebuilt union_sampler=/join_sampler= cannot be sharded; "
+                "drop it or set parallelism=1"
+            )
+        # The backend samplers: one, or ``parallelism`` shards with
+        # independent streams that every step fans out over (_fan_out).
+        if prebuilt is not None:
+            if join_sampler is not None:
+                # Warm server path: reuse a (possibly structure-sharing)
+                # sampler instead of rebuilding weights and alias tables.
+                join_sampler.refresh()
+            self._shards = [prebuilt]
+        elif self.backend == "online-union":
+            self._shards = [
+                OnlineUnionSampler(list(self.queries), seed=stream)
+                for stream in _shard_streams(sampler_rng, self.parallelism)
+            ]
+        elif self.backend == "wander-join":
+            self._shards = [
+                WanderJoin(self.queries[0], seed=stream)
+                for stream in _shard_streams(sampler_rng, self.parallelism)
+            ]
+        else:
+            sampler = JoinSampler(
+                self.queries[0],
+                weights=self.plan.weights or "ew",
+                seed=sampler_rng,
+                max_batch_size=max(self.batch_size, 1),
+            )
+            # split() derives the shard streams from the sampler's stream
+            # and shares its weight function, so weights are built once.
+            self._shards = (
+                [sampler] if self.parallelism == 1 else sampler.split(self.parallelism)
+            )
+        if self.backend == "online-union":
+            self._reject_degenerate_union_count()
+        #: cumulative accepted-sample requests per union shard
+        self._union_consumed = [0] * len(self._shards)
         # Sample-cache tier: consume/publish shared draw streams (see
         # repro.cache.store for the validity invariants).
         self.cache: Optional[SampleCache] = None
@@ -251,8 +237,9 @@ class OnlineAggregator:
     # ------------------------------------------------------------------ public
     @property
     def sampler(self) -> object:
-        """The live backend sampler (JoinSampler, WanderJoin, or union sampler)."""
-        return self._join_sampler or self._walker or self._union_sampler
+        """The live backend sampler (JoinSampler, WanderJoin, or union
+        sampler); the first shard when ``parallelism > 1``."""
+        return self._shards[0]
 
     def step(self, batch_size: Optional[int] = None) -> AggregateReport:
         """Ingest one batch of draws and return the refreshed estimates."""
@@ -389,7 +376,7 @@ class OnlineAggregator:
         spec = self.spec
         if spec.kind != "count" or spec.where is not None or spec.group_attributes:
             return
-        parameters = getattr(self._union_sampler, "parameters", None)
+        parameters = getattr(self._shards[0], "parameters", None)
         if parameters is not None and parameters.method == "full-join":
             return
         raise ValueError(
@@ -431,26 +418,21 @@ class OnlineAggregator:
         epoch observed on *any* shard discards the accumulated state, so
         shards never contribute attempts from different database snapshots.
         """
-        stale = False
-        if self._join_sampler is not None:
-            stale = self._join_sampler.refresh()
-        elif self._union_shards:
-            stale = any([shard.refresh() for shard in self._union_shards])
-        elif self._union_sampler is not None:
-            refresh = getattr(self._union_sampler, "refresh", None)
-            if refresh is not None:
-                stale = bool(refresh())
-            elif self._current_versions() != self._db_versions:
-                raise RuntimeError(
-                    "base relations mutated but the provided union sampler has "
-                    "no refresh(); rebuild the aggregator for the new snapshot"
-                )
-        else:  # wander join reads the delta-maintained indexes directly
+        if self.backend == "wander-join":
+            # Wander join reads the delta-maintained indexes directly.
             stale = self._current_versions() != self._db_versions
+        elif all(hasattr(shard, "refresh") for shard in self._shards):
+            stale = any([shard.refresh() for shard in self._shards])
+        elif self._current_versions() != self._db_versions:
+            raise RuntimeError(
+                "base relations mutated but the provided union sampler has "
+                "no refresh(); rebuild the aggregator for the new snapshot"
+            )
+        else:
+            stale = False
         if stale:
             self.accumulator.reset()
-            self._union_consumed = 0
-            self._union_shard_consumed = [0] * len(self._union_shard_consumed)
+            self._union_consumed = [0] * len(self._shards)
             # Cached contributions belonged to the old snapshot too: drop the
             # entry reference and start a fresh consume from block 0 of
             # whatever entry the new epoch resolves to.
@@ -469,9 +451,9 @@ class OnlineAggregator:
         batch sizes, so cache-disabled and cold-cache runs stay bit-identical
         to the uncached aggregator.
         """
-        sampler = self._join_sampler
-        assert sampler is not None
-        total_weight = sampler.weight_function.total_weight
+        shards: List[JoinSampler] = self._shards
+        # Shards share one weight function (split()), hence one total weight.
+        total_weight = shards[0].weight_function.total_weight
         if total_weight <= 0:
             # Empty join: every attempt would fail; account them directly.
             self.accumulator.observe([], attempts=size, weight=1.0)
@@ -479,10 +461,16 @@ class OnlineAggregator:
         served = self._consume_cache(total_weight, size)
         if served >= size:
             return
-        attempts_before = sampler.stats.attempts
-        blocks = [sampler.sample_block(size - served)]
-        blocks.extend(sampler.pop_buffered_blocks())
-        attempts = sampler.stats.attempts - attempts_before
+        attempts_before = sum(shard.stats.attempts for shard in shards)
+        # Every shard's main block in shard order, then every shard's
+        # surplus in shard order: the ingest order --workers N answers pin.
+        blocks = self._fan_out(
+            lambda shard, quota: shard.sample_block(quota),
+            _split_evenly(size - served, len(shards)),
+        )
+        for shard in shards:
+            blocks.extend(shard.pop_buffered_blocks())
+        attempts = sum(shard.stats.attempts for shard in shards) - attempts_before
         block = SampleBlock.concat(blocks)
         self.accumulator.ingest_block(
             block.value_columns(self.queries[0]), attempts=attempts, weight=total_weight
@@ -566,65 +554,54 @@ class OnlineAggregator:
             self._cache_cursor = len(self._cache_entry.blocks)
 
     def _step_wander(self, size: int) -> None:
-        if self._walker_shards:
-            quotas = _split_evenly(size, len(self._walker_shards))
-            with ThreadPoolExecutor(max_workers=len(self._walker_shards)) as executor:
-                blocks = list(
-                    executor.map(
-                        lambda pair: pair[0].walk_block(pair[1]),
-                        zip(self._walker_shards, quotas),
-                    )
-                )
-            # Ingest in shard order; the exactly-rounded accumulator makes
-            # the estimates chunk-order-invariant anyway.
-            for block in blocks:
-                self._ingest_walk_block(block)
-            return
-        walker = self._walker
-        assert walker is not None
-        self._ingest_walk_block(walker.walk_block(size))
-
-    def _ingest_walk_block(self, block: SampleBlock) -> None:
-        self.accumulator.ingest_block(
-            block.value_columns(self.queries[0]),
-            attempts=block.attempts,
-            weights=block.weights,
+        blocks = self._fan_out(
+            lambda walker, quota: walker.walk_block(quota),
+            _split_evenly(size, len(self._shards)),
         )
+        # Ingest in shard order; the exactly-rounded accumulator makes the
+        # estimates chunk-order-invariant anyway.
+        for block in blocks:
+            self.accumulator.ingest_block(
+                block.value_columns(self.queries[0]),
+                attempts=block.attempts,
+                weights=block.weights,
+            )
 
     def _step_union(self, size: int) -> None:
-        # Revisions/backtracking may rewrite history, so rebuild from the
-        # sampler's full live sample list every step (cheap at AQP scales and
-        # always consistent with the sampler's current ownership record).
-        if self._union_shards:
-            quotas = _split_evenly(size, len(self._union_shards))
-            for i, quota in enumerate(quotas):
-                self._union_shard_consumed[i] += quota
-            with ThreadPoolExecutor(max_workers=len(self._union_shards)) as executor:
-                results = list(
-                    executor.map(
-                        lambda pair: pair[0].sample(pair[1]),
-                        zip(self._union_shards, self._union_shard_consumed),
-                    )
-                )
-            self.accumulator.reset()
-            for result in results:
-                self.accumulator.observe(
-                    [s.value for s in result.samples],
-                    attempts=len(result.samples),
-                    weight=float(result.parameters.union_size),
-                )
-            return
-        sampler = self._union_sampler
-        assert sampler is not None
-        self._union_consumed += size
-        result = sampler.sample(self._union_consumed)
-        self.accumulator.reset()
-        union_size = float(result.parameters.union_size)
-        self.accumulator.observe(
-            [s.value for s in result.samples],
-            attempts=len(result.samples),
-            weight=union_size,
+        # Revisions/backtracking may rewrite history, so rebuild from each
+        # shard's full live sample list every step (cheap at AQP scales and
+        # always consistent with the samplers' current ownership records).
+        quotas = _split_evenly(size, len(self._shards))
+        self._union_consumed = [
+            consumed + quota for consumed, quota in zip(self._union_consumed, quotas)
+        ]
+        results = self._fan_out(
+            lambda sampler, count: sampler.sample(count), self._union_consumed
         )
+        self.accumulator.reset()
+        for result in results:
+            self.accumulator.observe(
+                [s.value for s in result.samples],
+                attempts=len(result.samples),
+                weight=float(result.parameters.union_size),
+            )
+
+    def _fan_out(self, draw: Callable, counts: List[int]) -> List:
+        """``draw(shard, count)`` for every shard; results in shard order.
+
+        One shard runs inline; several run on one thread pool, and the first
+        failure (in shard order) is re-raised after every shard finished.
+        """
+        if len(self._shards) == 1:
+            return [draw(self._shards[0], counts[0])]
+        with ThreadPoolExecutor(max_workers=len(self._shards)) as executor:
+            return list(executor.map(draw, self._shards, counts))
+
+
+def _shard_streams(rng: RandomState, parallelism: int) -> List[RandomState]:
+    """The sampler's own stream, or ``parallelism`` streams spawned from it
+    (the same family :meth:`JoinSampler.split` spawns)."""
+    return [rng] if parallelism == 1 else spawn_rngs(rng, parallelism)
 
 
 def _split_evenly(total: int, parts: int) -> List[int]:

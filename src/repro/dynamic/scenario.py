@@ -111,9 +111,9 @@ class StreamingScenario:
         if isinstance(sampler, OnlineUnionSampler):
             return [s.value for s in sampler.sample(count).samples]
         if isinstance(sampler, WanderJoin):
-            return [w.value for w in sampler.walks(count) if w.success]
+            return sampler.walk_block(count).values(sampler.query)
         if isinstance(sampler, JoinSampler):
-            return [d.value for d in sampler.sample_many(count)]
+            return sampler.sample_block(count).values(sampler.query)
         raise TypeError(
             f"unsupported sampler type {type(sampler).__name__}; expected "
             "JoinSampler, WanderJoin, or OnlineUnionSampler"

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.lint.checkers import (
+    contracts,
     determinism,
     epoch,
     locks,
@@ -15,7 +16,7 @@ from repro.lint.checkers import (
 from repro.lint.core import PARSE_RULE, Rule, SUPPRESSION_RULE
 
 #: every checker module, in report order
-CHECKERS = (rng, epoch, locks, merge, determinism, resources)
+CHECKERS = (rng, epoch, locks, contracts, merge, determinism, resources)
 
 
 def all_rules() -> Tuple[Rule, ...]:

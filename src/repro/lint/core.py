@@ -82,6 +82,12 @@ PARSE_RULE = Rule(
     invariant="every linted file must be valid Python",
 )
 
+def is_library_path(path: str) -> bool:
+    """True for files of the real library package (``src/repro/...``)."""
+    normalized = "/" + path.replace("\\", "/").lstrip("/")
+    return "/src/repro/" in normalized or normalized.startswith("/repro/")
+
+
 _DIRECTIVE = re.compile(
     r"#\s*repro-lint:\s*disable=(?P<rules>[A-Za-z0-9_,\s]+?)"
     r"(?:\s*--\s*(?P<why>.*\S))?\s*$"
@@ -173,5 +179,6 @@ __all__ = [
     "SUPPRESSION_RULE",
     "PARSE_RULE",
     "apply_suppressions",
+    "is_library_path",
     "parse_suppressions",
 ]

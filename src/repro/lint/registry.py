@@ -88,14 +88,10 @@ LOCK_REGISTRY: Dict[str, LockContract] = {
             "_stats_lock": frozenset({"_counters"}),
         }
     ),
-    # PR 7: a shared sampler serves concurrent server requests; buffers and
-    # lazily-built plans mutate on every draw.
+    # PR 7: a shared sampler serves concurrent server requests; the surplus
+    # buffer and lazily-built plans mutate on every draw.
     "JoinSampler": LockContract(
-        locks={
-            "_lock": frozenset(
-                {"_block_buffer", "_draw_buffer", "_plans", "_shard_samplers"}
-            )
-        },
+        locks={"_lock": frozenset({"_block_buffer", "_plans"})},
         locked_decorators={"_locked": "_lock"},
     ),
     # PR 7: step/estimate interleave from concurrent callers; the
@@ -152,28 +148,9 @@ EPOCH_REGISTRY: Dict[str, EpochContract] = {
     "JoinSampler": EpochContract(
         refresh_methods=frozenset({"refresh"}),
         cached_attrs=frozenset(
-            {
-                "_root_alias",
-                "_root_weights",
-                "_root_total",
-                "_root_cumulative",
-                "_plans",
-                "_block_buffer",
-                "_draw_buffer",
-            }
+            {"_root_alias", "_root_weights", "_root_total", "_plans", "_block_buffer"}
         ),
-        entry_points=frozenset(
-            {
-                "try_sample",
-                "sample",
-                "sample_batch",
-                "sample_many",
-                "sample_block",
-                "warm",
-                "pop_buffered",
-                "pop_buffered_blocks",
-            }
-        ),
+        entry_points=frozenset({"sample_block", "warm", "pop_buffered_blocks"}),
         exempt=frozenset({"stale"}),
     ),
     # Union-level uniformity needs the membership cache and per-join

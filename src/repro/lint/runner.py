@@ -26,6 +26,7 @@ from repro.lint.core import (
     Rule,
     Severity,
     apply_suppressions,
+    is_library_path,
     parse_suppressions,
 )
 from repro.lint.symbols import ModuleSymbols, build_project
@@ -54,10 +55,7 @@ class LintConfig:
     excludes: Tuple[str, ...] = DEFAULT_EXCLUDES
 
     def is_library(self, path: str) -> bool:
-        if self.assume_library:
-            return True
-        normalized = "/" + path.replace("\\", "/").lstrip("/")
-        return "/src/repro/" in normalized or normalized.startswith("/repro/")
+        return self.assume_library or is_library_path(path)
 
     def wants(self, rule_id: str) -> bool:
         return not self.rules or rule_id in self.rules

@@ -23,7 +23,7 @@ class ColumnStatistics:
     the average degree.
     """
 
-    __slots__ = ("attribute", "_frequencies", "row_count")
+    __slots__ = ("attribute", "_frequencies", "row_count", "_max_degree")
 
     def __init__(self, attribute: str, frequencies: Mapping[object, int]) -> None:
         for value, count in frequencies.items():
@@ -32,6 +32,9 @@ class ColumnStatistics:
         self.attribute = attribute
         self._frequencies: Dict[object, int] = dict(frequencies)
         self.row_count = sum(self._frequencies.values())
+        # Cached ``M_A(R)``; None means "recompute on next access" (set when
+        # a delta shrinks a value that held the maximum).
+        self._max_degree: Optional[int] = None
 
     @classmethod
     def from_values(cls, attribute: str, values: Iterable[object]) -> "ColumnStatistics":
@@ -47,7 +50,8 @@ class ColumnStatistics:
         ``removed``/``added`` are the column values of the rows a
         :class:`~repro.relational.delta.RelationDelta` deleted/inserted (moves
         do not change frequencies).  Frequencies that reach zero are dropped so
-        membership checks stay exact.
+        membership checks stay exact.  The cached maximum degree rises with
+        adds and is dropped (recomputed lazily) when a maximal value shrinks.
         """
         freq = self._frequencies
         for value in removed:
@@ -57,13 +61,18 @@ class ColumnStatistics:
                     f"delta removes value {value!r} absent from column "
                     f"{self.attribute!r} statistics"
                 )
+            if count + 1 == self._max_degree:
+                self._max_degree = None
             if count == 0:
                 del freq[value]
             else:
                 freq[value] = count
             self.row_count -= 1
         for value in added:
-            freq[value] = freq.get(value, 0) + 1
+            count = freq.get(value, 0) + 1
+            freq[value] = count
+            if self._max_degree is not None and count > self._max_degree:
+                self._max_degree = count
             self.row_count += 1
 
     # ----------------------------------------------------------------- degrees
@@ -74,7 +83,9 @@ class ColumnStatistics:
     @property
     def max_degree(self) -> int:
         """``M_A(R)``: maximum value frequency (0 for an empty column)."""
-        return max(self._frequencies.values(), default=0)
+        if self._max_degree is None:
+            self._max_degree = max(self._frequencies.values(), default=0)
+        return self._max_degree
 
     @property
     def average_degree(self) -> float:

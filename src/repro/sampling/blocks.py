@@ -24,6 +24,19 @@ import numpy as np
 
 
 @dataclass
+class SampleDraw:
+    """One accepted sample, boxed (:meth:`SampleBlock.to_draws`).
+
+    ``value`` is the output value (``t.val``, the projection onto the output
+    attributes); ``assignment`` maps relation name -> row position of the
+    underlying join result.
+    """
+
+    value: Tuple
+    assignment: Dict[str, int]
+
+
+@dataclass
 class SampleBlock:
     """A batch of accepted samples in struct-of-arrays layout.
 
@@ -191,10 +204,8 @@ class SampleBlock:
         columns = [c.tolist() for c in self.value_columns(query)]
         return list(zip(*columns)) if columns else [() for _ in range(len(self))]
 
-    def to_draws(self, query) -> List["SampleDraw"]:
-        """Box into ``SampleDraw`` objects (the backward-compatible view)."""
-        from repro.sampling.join_sampler import SampleDraw
-
+    def to_draws(self, query) -> List[SampleDraw]:
+        """Box into :class:`SampleDraw` objects (the one boxing helper)."""
         values = self.values(query)
         assignment_columns = {
             name: positions.tolist() for name, positions in self.positions.items()
@@ -204,10 +215,9 @@ class SampleBlock:
             SampleDraw(
                 value=value,
                 assignment={name: assignment_columns[name][i] for name in names},
-                attempts=1,
             )
             for i, value in enumerate(values)
         ]
 
 
-__all__ = ["SampleBlock"]
+__all__ = ["SampleBlock", "SampleDraw"]

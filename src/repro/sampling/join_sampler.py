@@ -4,7 +4,7 @@
 query without materializing it, by walking the join tree root-to-leaves:
 
 1. pick a root row with probability proportional to its weight;
-2. at every child relation, look up the joinable rows via the hash index,
+2. at every child relation, look up the joinable rows via the CSR join index,
    accept the descent with probability ``realized weight / bound`` (always 1
    for exact weights), and pick one joinable row proportionally to its weight;
 3. for cyclic joins, verify the residual (cycle-breaking) conditions on the
@@ -15,67 +15,36 @@ Every accepted result has probability ``1 / W`` where ``W`` is the weight
 function's total weight, hence results are uniform over the join; acceptance
 probability is ``|J| / W``.
 
-Two execution paths produce identically-distributed samples:
-
-* the scalar path (:meth:`JoinSampler.try_sample`) performs one root-to-leaf
-  walk at a time — the reference implementation of the paper's algorithm;
-* the columnar path (:meth:`JoinSampler.sample_block`) runs whole batches of
-  walks level-by-level over the columnar/CSR storage layer.  The root row and
-  every per-level child choice are O(1) Walker/Vose alias-table draws (two
-  array lookups per draw — see :mod:`repro.sampling.alias`) instead of
-  O(log n) ``searchsorted`` probes, and accepted walks come back as one
-  struct-of-arrays :class:`~repro.sampling.blocks.SampleBlock` — no per-draw
-  Python objects anywhere on the sampler → aggregator → shard-merge path.
-
-:meth:`sample_batch` / :meth:`sample_many` / :meth:`sample` are thin views
-that box blocks into :class:`SampleDraw` lists for the scalar-era API; they
-consume the exact same draw stream as :meth:`sample_block` (boxing happens
-after the fact), so block and batch output are bit-identical for a fixed
-seed.
+Every draw runs on the block path (:meth:`JoinSampler.sample_block`): whole
+batches of walks advance level-by-level over the columnar/CSR storage layer,
+with O(1) Walker/Vose alias-table draws for the root row and every child
+choice (see :mod:`repro.sampling.alias`), and accepted walks come back as one
+struct-of-arrays :class:`~repro.sampling.blocks.SampleBlock` — no per-draw
+Python objects on the sampler → aggregator → shard-merge path.  Callers box
+with :meth:`SampleBlock.values` or :meth:`SampleBlock.to_draws`.  The
+one-walk-at-a-time transcription of the algorithm lives in the test suite as
+the reference oracle the block path is checked against.
 """
 
 from __future__ import annotations
 
 import functools
 import threading
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.joins.join_tree import JoinTree, JoinTreeNode, build_join_tree
 from repro.joins.query import JoinQuery
 from repro.sampling.alias import AliasTable, SegmentedAliasTable
-from repro.sampling.blocks import SampleBlock
+from repro.sampling.blocks import SampleBlock, SampleDraw
 from repro.sampling.weights import (
     ExactWeightFunction,
     WeightFunction,
     make_weight_function,
 )
 from repro.utils.rng import RandomState, ensure_rng, spawn_rngs
-
-
-@dataclass
-class SampleDraw:
-    """One accepted sample from a join.
-
-    Attributes
-    ----------
-    value:
-        The output value (``t.val``): projection onto the output attributes.
-    assignment:
-        Relation name -> row position of the underlying join result.
-    attempts:
-        Number of root-to-leaf walks needed to produce this accepted sample
-        (always 1 for samples produced by the batched path, which accounts
-        rejected walks in the sampler-level stats instead).
-    """
-
-    value: Tuple
-    assignment: Dict[str, int]
-    attempts: int = 1
 
 
 @dataclass
@@ -101,9 +70,9 @@ def _locked(method: Callable) -> Callable:
 
     Draw calls mutate shared state (buffers, stats, lazily-built plans, the
     generator) — the lock makes one sampler safe for concurrent callers (the
-    server's shared-state path).  Reentrant so ``sample -> sample_block ->
-    refresh`` nests; distinct samplers (e.g. ``split()`` shards) have
-    distinct locks and never contend.
+    server's shared-state path).  Reentrant so ``sample_block -> refresh``
+    nests; distinct samplers (e.g. ``split()`` shards) have distinct locks
+    and never contend.
     """
 
     @functools.wraps(method)
@@ -157,12 +126,6 @@ class JoinSampler:
         rejected on failure (§8.3 second alternative).
     max_batch_size:
         Upper bound on the number of simultaneous walks of one batched pass.
-    parallelism:
-        When > 1, :meth:`sample_block` / :meth:`sample_batch` fan the request
-        out across that many internal shard samplers (created lazily via
-        :meth:`split`, seeds derived from this sampler's stream) running on a
-        thread pool, and concatenate the results in shard order — so the
-        draw sequence is deterministic for a fixed seed and parallelism.
     """
 
     def __init__(
@@ -173,7 +136,6 @@ class JoinSampler:
         tree: Optional[JoinTree] = None,
         enforce_predicates: bool = True,
         max_batch_size: int = 8192,
-        parallelism: int = 1,
         _prototype: Optional["JoinSampler"] = None,
     ) -> None:
         self.query = query
@@ -200,14 +162,10 @@ class JoinSampler:
         self._relations = [self.query.relation(name) for name in self._relation_order]
         self._db_versions = tuple(r.version for r in self._relations)
         self._plans: Optional[List[_LevelPlan]] = None
-        #: surplus accepted work in struct-of-arrays form (the native format)
+        #: surplus accepted work of earlier passes, served first
         self._block_buffer: List[SampleBlock] = []
-        #: boxed surplus fed to the scalar ``sample()`` API
-        self._draw_buffer: Deque[SampleDraw] = deque()
         self._min_batch_size = 32
         self._max_batch_size = max(int(max_batch_size), 1)
-        self.parallelism = max(int(parallelism), 1)
-        self._shard_samplers: Optional[List["JoinSampler"]] = None
         self._lock = threading.RLock()
         #: True when ``_root_alias``/``_plans`` are borrowed read-only from a
         #: warm prototype (see :meth:`split`); a refresh must then drop the
@@ -219,7 +177,6 @@ class JoinSampler:
             self._root_weights = _prototype._root_weights
             self._root_total = _prototype._root_total
             self._root_alias = _prototype._root_alias
-            self._root_cumulative = _prototype._root_cumulative
             self._plans = _prototype._plans
             self._shared_plans = True
         else:
@@ -231,9 +188,6 @@ class JoinSampler:
         self._root_alias = (
             AliasTable(self._root_weights) if self._root_total > 0 else None
         )
-        # Cumulative weights serve only the scalar reference path; built
-        # lazily so the hot block path never pays for them.
-        self._root_cumulative: Optional[np.ndarray] = None
 
     def _collect(self, node: JoinTreeNode, parent: Optional[JoinTreeNode]) -> None:
         self._order.append((node, parent))
@@ -282,12 +236,6 @@ class JoinSampler:
         else:
             self._refresh_plans(stale_names)
         self._block_buffer.clear()
-        self._draw_buffer.clear()
-        if self._shard_samplers:
-            # Shard buffers hold previous-epoch draws too; re-sync them now so
-            # pop_buffered() can never hand out stale shard draws.
-            for shard in self._shard_samplers:
-                shard.refresh()
         self._db_versions = versions
         return True
 
@@ -303,111 +251,6 @@ class JoinSampler:
             self.refresh()
             return self.weight_function.total_weight
         return None
-
-    @_locked
-    def try_sample(self) -> Optional[SampleDraw]:
-        """One root-to-leaf attempt; ``None`` when the walk is rejected.
-
-        This is the scalar reference path; :meth:`sample_block` runs the same
-        accept/reject process vectorized over whole batches of walks.
-        """
-        self.refresh()
-        self.stats.attempts += 1
-        if self._root_total <= 0:
-            self.stats.rejected_empty += 1
-            return None
-        assignment: Dict[str, int] = {}
-        root = self.tree.root
-        root_pos = self._weighted_root_choice()
-        if root_pos is None:
-            self.stats.rejected_empty += 1
-            return None
-        assignment[root.relation] = root_pos
-
-        for node, parent in self._order:
-            if parent is None:
-                continue
-            parent_rel = self.query.relation(parent.relation)
-            child_rel = self.query.relation(node.relation)
-            parent_row = parent_rel.row(assignment[parent.relation])
-            key = tuple(
-                parent_row[parent_rel.schema.position(a)] for a in node.parent_attributes
-            )
-            lookup = key if len(key) > 1 else key[0]
-            index = child_rel.index_on_columns(node.child_attributes)
-            joinable = index.positions(lookup)
-            if not joinable:
-                self.stats.rejected_empty += 1
-                return None
-            weights = self.weight_function.weights_for(node, joinable)
-            realized = float(weights.sum())
-            if realized <= 0:
-                self.stats.rejected_empty += 1
-                return None
-            bound = self.weight_function.acceptance_bound(node)
-            if bound is not None and bound > 0:
-                if self.rng.random() >= realized / bound:
-                    self.stats.rejected_weight += 1
-                    return None
-            chosen = int(self.rng.choice(len(joinable), p=weights / realized))
-            assignment[node.relation] = joinable[chosen]
-
-        if not self.tree.residual_satisfied(assignment):
-            self.stats.rejected_residual += 1
-            return None
-        if self.enforce_predicates and not self._predicates_satisfied(assignment):
-            self.stats.rejected_predicate += 1
-            return None
-
-        self.stats.accepted += 1
-        return SampleDraw(
-            value=self.query.project_assignment(assignment),
-            assignment=dict(assignment),
-            attempts=1,
-        )
-
-    @_locked
-    def sample(self, max_attempts: int = 1_000_000) -> SampleDraw:
-        """One accepted sample (refills an internal buffer via the block path)."""
-        self.refresh()  # a stale buffer must not serve previous-epoch draws
-        if self._draw_buffer:
-            return self._draw_buffer.popleft()
-        block = self.sample_block(1, max_attempts=max_attempts)
-        # Box the surplus wholesale now so subsequent calls are O(1) pops
-        # (one boxing pass per refill, exactly like the old deque refill).
-        if self._block_buffer:
-            surplus, self._block_buffer = self._block_buffer, []
-            for parked in surplus:
-                self._draw_buffer.extend(parked.to_draws(self.query))
-        return block.to_draws(self.query)[0]
-
-    def sample_many(self, count: int, max_attempts: int = 1_000_000) -> List[SampleDraw]:
-        """``count`` independent accepted samples."""
-        return self.sample_batch(count, max_attempts=max_attempts)
-
-    @_locked
-    def sample_batch(self, count: int, max_attempts: int = 1_000_000) -> List[SampleDraw]:
-        """``count`` accepted samples as boxed :class:`SampleDraw` objects.
-
-        A thin view over :meth:`sample_block`: the block is drawn first
-        (consuming the identical random stream) and boxed afterwards, so for
-        a fixed seed ``sample_batch(n)`` and ``sample_block(n)`` describe the
-        same samples.
-        """
-        self.refresh()
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be positive")
-        if count == 0:
-            return []
-        draws: List[SampleDraw] = []
-        while self._draw_buffer and len(draws) < count:
-            draws.append(self._draw_buffer.popleft())
-        if len(draws) < count:
-            block = self.sample_block(count - len(draws), max_attempts=max_attempts)
-            draws.extend(block.to_draws(self.query))
-        return draws
 
     @_locked
     def sample_block(self, count: int, max_attempts: int = 1_000_000) -> SampleBlock:
@@ -434,8 +277,6 @@ class JoinSampler:
         total_weight = self.weight_function.total_weight
         if count == 0:
             return SampleBlock.empty(self._relation_order, weight=total_weight)
-        if self.parallelism > 1:
-            return self._sample_block_parallel(count, max_attempts)
         parts: List[SampleBlock] = []
         have = 0
         while self._block_buffer and have < count:
@@ -463,7 +304,10 @@ class JoinSampler:
                     # Park the accepted work instead of losing it: the buffer
                     # stays consistent, so a later call (e.g. after the
                     # caller raises its budget) continues cleanly.
-                    self._park(parts)
+                    for part in parts:
+                        part.attempts = 0  # already accounted in self.stats
+                        if len(part):
+                            self._block_buffer.append(part)
                     raise RuntimeError(
                         f"JoinSampler on {self.query.name!r} failed to accept a sample "
                         f"after {max_attempts} attempts (bound too loose or empty join)"
@@ -476,42 +320,19 @@ class JoinSampler:
             self._block_buffer.append(tail)
         return block
 
-    def _park(self, parts: List[SampleBlock]) -> None:
-        for part in parts:
-            part.attempts = 0  # already accounted in self.stats
-            if len(part):
-                self._block_buffer.append(part)
-
-    @_locked
-    def pop_buffered(self) -> List[SampleDraw]:
-        """Drain and return the buffered surplus of the last batched pass.
-
-        The AQP layer consumes every accepted draw of a batch so that its
-        attempt-level accounting (accepted vs. rejected walks, read off
-        :attr:`stats`) stays aligned with the draws it ingested.  With
-        ``parallelism > 1`` the shard samplers' buffers are drained too.
-
-        Runs the staleness check first: surplus buffered under a previous
-        mutation epoch must be discarded, not served.
-        """
-        self.refresh()
-        drained = list(self._draw_buffer)
-        self._draw_buffer.clear()
-        for block in self.pop_buffered_blocks():
-            drained.extend(block.to_draws(self.query))
-        return drained
-
     @_locked
     def pop_buffered_blocks(self) -> List[SampleBlock]:
-        """Drain the struct-of-arrays surplus (the zero-object twin of
-        :meth:`pop_buffered`; boxed draws parked by ``sample()`` are not
-        convertible back and stay for :meth:`pop_buffered`)."""
+        """Drain and return the buffered surplus of earlier passes.
+
+        The AQP layer consumes every accepted walk of a batch so that its
+        attempt-level accounting (accepted vs. rejected walks, read off
+        :attr:`stats`) stays aligned with the samples it ingested.  Runs the
+        staleness check first: surplus buffered under a previous mutation
+        epoch is discarded, not served.
+        """
         self.refresh()
         drained = self._block_buffer
         self._block_buffer = []
-        if self._shard_samplers:
-            for shard in self._shard_samplers:
-                drained.extend(shard.pop_buffered_blocks())
         return drained
 
     @_locked
@@ -574,55 +395,6 @@ class JoinSampler:
             for stream in streams
         ]
         return shards
-
-    def _sample_block_parallel(self, count: int, max_attempts: int) -> SampleBlock:
-        """Fan ``count`` across the shard samplers; concatenate in shard order."""
-        # Serve parked blocks first (same contract as the sequential path: the
-        # buffer may hold accepted work preserved by an earlier failure).
-        parts: List[SampleBlock] = []
-        have = 0
-        while self._block_buffer and have < count:
-            parked = self._block_buffer.pop(0)
-            if have + len(parked) > count:
-                head, tail = parked.split(count - have)
-                self._block_buffer.insert(0, tail)
-                parked = head
-            parts.append(parked)
-            have += len(parked)
-        remaining = count - have
-        if remaining == 0:
-            block = SampleBlock.concat(parts)
-            block.weight = self.weight_function.total_weight
-            return block
-        if self._shard_samplers is None:
-            self._shard_samplers = self.split(self.parallelism)
-        shards = self._shard_samplers
-        base, extra = divmod(remaining, len(shards))
-        quotas = [base + (1 if i < extra else 0) for i in range(len(shards))]
-        before = [_stats_snapshot(s.stats) for s in shards]
-        with ThreadPoolExecutor(max_workers=len(shards)) as executor:
-            futures = [
-                executor.submit(shard.sample_block, quota, max_attempts) if quota else None
-                for shard, quota in zip(shards, quotas)
-            ]
-            error: Optional[BaseException] = None
-            for future in futures:
-                if future is None:
-                    continue
-                try:
-                    parts.append(future.result())
-                except BaseException as exc:  # noqa: BLE001 - re-raised below
-                    error = error or exc
-        for shard, snapshot in zip(shards, before):
-            _merge_stats_delta(self.stats, shard.stats, snapshot)
-        if error is not None:
-            # Preserve whatever the healthy shards produced (mirrors the
-            # sequential exhaustion path) before surfacing the failure.
-            self._park(parts)
-            raise error
-        block = SampleBlock.concat(parts) if parts else SampleBlock.empty(self._relation_order)
-        block.weight = self.weight_function.total_weight
-        return block
 
     # ------------------------------------------------------------- block path
     def _next_batch_size(self, need: int) -> int:
@@ -705,7 +477,8 @@ class JoinSampler:
         chosen: Dict[str, np.ndarray] = {
             name: np.full(size, -1, dtype=np.intp) for name in self._relation_order
         }
-        chosen[self.tree.root.relation] = self._batch_root_choice(size)
+        # Root rows via the root alias table (O(1) per draw).
+        chosen[self.tree.root.relation] = self._root_alias.sample(self.rng, size)
         walks = np.arange(size, dtype=np.intp)
 
         for plan in self._level_plans():
@@ -765,11 +538,6 @@ class JoinSampler:
             weight=self.weight_function.total_weight,
         )
 
-    def _batch_root_choice(self, size: int) -> np.ndarray:
-        """``size`` root rows via the root alias table (O(1) per draw)."""
-        assert self._root_alias is not None
-        return self._root_alias.sample(self.rng, size)
-
     def _filter_residuals(self, chosen: Dict[str, np.ndarray], walks: np.ndarray) -> np.ndarray:
         """Drop walks whose assembled assignment violates a residual condition."""
         ok = self.tree.residual_mask(
@@ -795,58 +563,6 @@ class JoinSampler:
             self.stats.rejected_predicate += rejected
             walks = walks[keep]
         return walks
-
-    # --------------------------------------------------------------- internals
-    def _weighted_root_choice(self) -> Optional[int]:
-        if self._root_total <= 0:
-            return None
-        if self._root_cumulative is None:
-            self._root_cumulative = np.cumsum(self._root_weights)
-        target = self.rng.random() * self._root_total
-        pos = int(np.searchsorted(self._root_cumulative, target, side="right"))
-        if pos >= len(self._root_weights):
-            pos = len(self._root_weights) - 1
-        if self._root_weights[pos] <= 0:
-            # Landed on a zero-weight row due to floating point edge effects;
-            # fall back to an explicit renormalized choice.
-            positive = np.flatnonzero(self._root_weights > 0)
-            if positive.size == 0:
-                return None
-            probabilities = self._root_weights[positive] / self._root_weights[positive].sum()
-            pos = int(self.rng.choice(positive, p=probabilities))
-        return pos
-
-    def _predicates_satisfied(self, assignment: Dict[str, int]) -> bool:
-        if self.query.push_down_predicates or not self.query.predicates:
-            return True
-        for rel_name, predicate in self.query.predicates.items():
-            relation = self.query.relation(rel_name)
-            row = relation.row(assignment[rel_name])
-            if not predicate.evaluate(row, relation.schema):
-                return False
-        return True
-
-
-_STATS_FIELDS = (
-    "attempts",
-    "accepted",
-    "rejected_weight",
-    "rejected_empty",
-    "rejected_residual",
-    "rejected_predicate",
-)
-
-
-def _stats_snapshot(stats: JoinSamplerStats) -> Tuple[int, ...]:
-    return tuple(getattr(stats, name) for name in _STATS_FIELDS)
-
-
-def _merge_stats_delta(
-    target: JoinSamplerStats, shard: JoinSamplerStats, snapshot: Tuple[int, ...]
-) -> None:
-    """Add a shard's counter growth since ``snapshot`` into ``target``."""
-    for name, previous in zip(_STATS_FIELDS, snapshot):
-        setattr(target, name, getattr(target, name) + getattr(shard, name) - previous)
 
 
 __all__ = ["JoinSampler", "JoinSamplerStats", "SampleBlock", "SampleDraw"]

@@ -7,10 +7,16 @@ or produces one join result ``t`` together with its sampling probability
 
     p(t) = 1/|R_1| · 1/d_2(t_1) · ... · 1/d_m(t_{m-1})
 
-computed on the fly from the hash indexes (paper §6.1, Example 6).  Results
-are independent but *not* uniform; the Horvitz–Thompson estimator
+computed on the fly from the CSR join indexes (paper §6.1, Example 6).
+Results are independent but *not* uniform; the Horvitz–Thompson estimator
 ``|J| ≈ (1/m) Σ 1/p(t_k)`` (failed walks contribute 0) estimates the join size
 with a confidence interval that shrinks as the number of walks grows.
+
+Walks always run in vectorized batches, level by level over the columnar/CSR
+storage layer: :meth:`WanderJoin.walk_block` returns the successful walks as
+one struct-of-arrays block, and :meth:`WanderJoin.walk_batch` boxes the same
+walks into :class:`WalkResult` objects.  The one-walk-at-a-time transcription
+lives in the test suite as the reference oracle.
 
 The union framework uses wander join in two places:
 
@@ -157,63 +163,12 @@ class WanderJoin:
             self._collect(child, node)
 
     # ------------------------------------------------------------------ walks
-    def walk(self) -> WalkResult:
-        """Perform one random walk; returns its result and probability."""
-        self.walk_count += 1
-        root = self.tree.root
-        root_rel = self.query.relation(root.relation)
-        if len(root_rel) == 0:
-            return WalkResult(success=False)
-        assignment: Dict[str, int] = {}
-        probability = 1.0 / len(root_rel)
-        assignment[root.relation] = int(self.rng.integers(0, len(root_rel)))
-
-        for node, parent in self._order:
-            if parent is None:
-                continue
-            parent_rel = self.query.relation(parent.relation)
-            child_rel = self.query.relation(node.relation)
-            parent_row = parent_rel.row(assignment[parent.relation])
-            key = tuple(
-                parent_row[parent_rel.schema.position(a)] for a in node.parent_attributes
-            )
-            lookup = key if len(key) > 1 else key[0]
-            joinable = child_rel.index_on_columns(node.child_attributes).positions(lookup)
-            if not joinable:
-                return WalkResult(success=False)
-            probability *= 1.0 / len(joinable)
-            assignment[node.relation] = joinable[int(self.rng.integers(0, len(joinable)))]
-
-        if not self.tree.residual_satisfied(assignment):
-            return WalkResult(success=False)
-        self.success_count += 1
-        return WalkResult(
-            success=True,
-            value=self.query.project_assignment(assignment),
-            assignment=assignment,
-            probability=probability,
-        )
-
-    def walks(self, count: int, batch_size: int = 4096) -> List[WalkResult]:
-        """``count`` independent walks (failed walks included).
-
-        Walks run in vectorized batches over the columnar/CSR storage layer;
-        results are identically distributed to ``count`` :meth:`walk` calls.
-        """
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        results: List[WalkResult] = []
-        while len(results) < count:
-            results.extend(self.walk_batch(min(batch_size, count - len(results))))
-        return results
-
     def walk_batch(self, size: int) -> List[WalkResult]:
         """``size`` independent walks performed level-by-level, vectorized.
 
         Each hop is one key gather, one CSR slot lookup, and one uniform
         choice within the joinable segment for every surviving walk at once;
-        probabilities accumulate as ``1/|R_1| · Π 1/d`` exactly as in
-        :meth:`walk`.
+        probabilities accumulate as ``1/|R_1| · Π 1/d``.
         """
         chosen, walks, probability, size = self._descend(size)
         results = [WalkResult(success=False) for _ in range(size)]
@@ -338,18 +293,22 @@ class WanderJoin:
 
         Walks continue until the confidence interval's relative half-width
         drops below ``relative_half_width`` (at the given ``confidence``) or
-        ``max_walks`` is reached — the termination rule of §6.1.
+        ``max_walks`` is reached — the termination rule of §6.1.  Walks are
+        drawn in batches of up to 1024 but the rule is checked after every
+        walk, so the estimate stops at the same walk count a one-at-a-time
+        loop would; the rest of the last batch is discarded.
         """
         estimator = RunningEstimator()
         while estimator.count < max_walks:
-            estimator.add(self.walk().inverse_probability)
-            if estimator.count >= min_walks:
-                current = estimator.estimate(confidence)
-                if (
-                    current.estimate > 0
-                    and current.relative_half_width <= relative_half_width
-                ):
-                    return current
+            for result in self.walk_batch(min(1024, max_walks - estimator.count)):
+                estimator.add(result.inverse_probability)
+                if estimator.count >= min_walks:
+                    current = estimator.estimate(confidence)
+                    if (
+                        current.estimate > 0
+                        and current.relative_half_width <= relative_half_width
+                    ):
+                        return current
         return estimator.estimate(confidence)
 
 

@@ -1,7 +1,8 @@
 """Batch/scalar equivalence of the vectorized sampling engine.
 
-The batched descent (`JoinSampler.sample_batch`, `WanderJoin.walk_batch`) must
-produce samples identically distributed to the scalar reference paths: same
+The batched descent (`JoinSampler.sample_block`, `WanderJoin.walk_batch`) must
+produce samples identically distributed to the scalar reference oracles of
+``tests/join_oracle.py``: same
 acceptance rates, same uniformity over the join result, same walk success
 statistics — on chain, acyclic, cyclic, and composite-key joins.
 """
@@ -19,7 +20,13 @@ from repro.sampling.join_sampler import JoinSampler
 from repro.sampling.wander_join import WanderJoin
 from repro.utils.rng import BatchedCategorical, ensure_rng
 
+from tests.join_oracle import try_sample, walk
 from tests.stat_helpers import assert_uniform
+
+
+def boxed(sampler: JoinSampler, count: int):
+    """``count`` block draws boxed into SampleDraw objects."""
+    return sampler.sample_block(count).to_draws(sampler.query)
 
 
 @pytest.fixture
@@ -138,9 +145,9 @@ class TestBatchScalarEquivalence:
     @pytest.mark.parametrize("weights", ["ew", "eo"])
     def test_acceptance_rate_matches_scalar(self, chain_query, weights):
         scalar = JoinSampler(chain_query, weights=weights, seed=101)
-        accepted = sum(1 for _ in range(3000) if scalar.try_sample() is not None)
+        accepted = sum(1 for _ in range(3000) if try_sample(scalar) is not None)
         batched = JoinSampler(chain_query, weights=weights, seed=202)
-        batched.sample_batch(accepted or 1)
+        batched.sample_block(accepted or 1)
         assert batched.stats.acceptance_rate == pytest.approx(
             scalar.stats.acceptance_rate, abs=0.08
         )
@@ -149,21 +156,21 @@ class TestBatchScalarEquivalence:
     def test_chain_uniformity(self, chain_query, weights):
         sampler = JoinSampler(chain_query, weights=weights, seed=31)
         population = sorted(join_result_set(chain_query))
-        draws = sampler.sample_batch(1500)
+        draws = boxed(sampler, 1500)
         assert_uniform([d.value for d in draws], population)
 
     @pytest.mark.parametrize("weights", ["ew", "eo"])
     def test_acyclic_uniformity(self, acyclic_query, weights):
         sampler = JoinSampler(acyclic_query, weights=weights, seed=37)
         population = sorted(join_result_set(acyclic_query))
-        draws = sampler.sample_batch(1200)
+        draws = boxed(sampler, 1200)
         assert_uniform([d.value for d in draws], population)
 
     @pytest.mark.parametrize("weights", ["ew", "eo"])
     def test_cyclic_uniformity(self, cyclic_query, weights):
         sampler = JoinSampler(cyclic_query, weights=weights, seed=41)
         population = sorted(join_result_set(cyclic_query))
-        draws = sampler.sample_batch(900)
+        draws = boxed(sampler, 900)
         assert_uniform([d.value for d in draws], population)
         assert sampler.stats.rejected_residual > 0
 
@@ -172,7 +179,7 @@ class TestBatchScalarEquivalence:
         sampler = JoinSampler(composite_query, weights=weights, seed=43)
         population = sorted(join_result_set(composite_query))
         assert population  # fixture sanity: the composite join is non-empty
-        draws = sampler.sample_batch(1500)
+        draws = boxed(sampler, 1500)
         assert_uniform([d.value for d in draws], population)
 
     def test_mixed_type_key_column_keeps_all_results(self):
@@ -189,28 +196,28 @@ class TestBatchScalarEquivalence:
         )
         sampler = JoinSampler(query, weights="ew", seed=67)
         assert sampler.size_bound == 2.0
-        values = {d.value for d in sampler.sample_batch(100)}
+        values = {d.value for d in boxed(sampler, 100)}
         assert values == {(10, 100), (20, 200)}
 
     def test_string_key_uniformity(self, string_key_query):
         sampler = JoinSampler(string_key_query, weights="eo", seed=47)
         population = sorted(join_result_set(string_key_query))
-        draws = sampler.sample_batch(1200)
+        draws = boxed(sampler, 1200)
         assert_uniform([d.value for d in draws], population)
 
     def test_assignments_are_consistent(self, chain_query):
         sampler = JoinSampler(chain_query, seed=53)
-        for draw in sampler.sample_batch(50):
+        for draw in boxed(sampler, 50):
             assert chain_query.project_assignment(draw.assignment) == draw.value
 
     def test_values_are_python_typed(self, chain_query):
-        draw = JoinSampler(chain_query, seed=59).sample_batch(1)[0]
+        draw = boxed(JoinSampler(chain_query, seed=59), 1)[0]
         assert all(not isinstance(v, np.generic) for v in draw.value)
         assert all(isinstance(p, int) for p in draw.assignment.values())
 
     def test_buffer_refill_preserves_counts(self, chain_query):
         sampler = JoinSampler(chain_query, seed=61)
-        values = [sampler.sample().value for _ in range(300)]
+        values = [v for _ in range(300) for v in sampler.sample_block(1).values(chain_query)]
         assert len(values) == 300
         assert sampler.stats.accepted >= 300
 
@@ -220,15 +227,15 @@ class TestBatchScalarEquivalence:
         query = make_chain_query("empty", r_rows=[(1, 99)], s_rows=[(10, 100)])
         sampler = JoinSampler(query, weights="ew", seed=0)
         with pytest.raises(RuntimeError):
-            sampler.sample_batch(1, max_attempts=64)
+            sampler.sample_block(1, max_attempts=64)
 
 
 class TestWanderJoinBatch:
     def test_batch_walks_match_scalar_statistics(self, chain_query):
         scalar = WanderJoin(chain_query, seed=71)
-        scalar_successes = sum(1 for w in (scalar.walk() for _ in range(2000)) if w.success)
+        scalar_successes = sum(1 for w in (walk(scalar) for _ in range(2000)) if w.success)
         batched = WanderJoin(chain_query, seed=72)
-        results = batched.walks(2000)
+        results = batched.walk_batch(2000)
         assert len(results) == 2000
         batch_successes = sum(1 for w in results if w.success)
         assert batch_successes / 2000 == pytest.approx(scalar_successes / 2000, abs=0.06)
@@ -237,21 +244,21 @@ class TestWanderJoinBatch:
         population = join_result_set(chain_query)
         walker = WanderJoin(chain_query, seed=73)
         ht = []
-        for walk in walker.walks(1500):
-            if walk.success:
-                assert walk.value in population
-                assert 0.0 < walk.probability <= 1.0
-                assert chain_query.project_assignment(walk.assignment) == walk.value
-            ht.append(walk.inverse_probability)
+        for result in walker.walk_batch(1500):
+            if result.success:
+                assert result.value in population
+                assert 0.0 < result.probability <= 1.0
+                assert chain_query.project_assignment(result.assignment) == result.value
+            ht.append(result.inverse_probability)
         estimate = sum(ht) / len(ht)
         assert estimate == pytest.approx(len(population), rel=0.25)
 
     def test_cyclic_batch_walks_respect_residuals(self, cyclic_query):
         walker = WanderJoin(cyclic_query, seed=79)
         population = join_result_set(cyclic_query)
-        for walk in walker.walks(600):
-            if walk.success:
-                assert walk.value in population
+        for result in walker.walk_batch(600):
+            if result.success:
+                assert result.value in population
 
 
 class TestBatchedCategorical:

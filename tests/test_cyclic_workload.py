@@ -55,8 +55,8 @@ class TestCyclicSampling:
         query = cy_workload.query("CY_W")
         results = join_result_set(query)
         sampler = JoinSampler(query, weights="ew", seed=3)
-        for draw in sampler.sample_many(100):
-            assert draw.value in results
+        for value in sampler.sample_block(100).values(query):
+            assert value in results
         assert sampler.stats.rejected_residual >= 0
 
     def test_estimators_run_on_cyclic_union(self, cy_workload):

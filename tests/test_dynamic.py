@@ -27,6 +27,7 @@ from repro.sampling.join_sampler import JoinSampler
 from repro.sampling.wander_join import WanderJoin
 from repro.sampling.weights import ExactWeightFunction, ExtendedOlkenWeightFunction
 
+from tests.join_oracle import try_sample
 from tests.stat_helpers import assert_uniform
 
 
@@ -136,52 +137,50 @@ class TestSamplingUnderUpdates:
     @pytest.mark.parametrize("weights", ["ew", "eo"])
     def test_acyclic_uniform_after_interleaved_updates(self, acyclic_query, weights):
         sampler = JoinSampler(acyclic_query, weights=weights, seed=101)
-        sampler.sample_many(200)  # warm caches and buffer on the old epoch
+        sampler.sample_block(200)  # warm caches and buffer on the old epoch
         self._churn_acyclic(acyclic_query)
         population = sorted(join_result_set(acyclic_query))
         assert population
-        draws = sampler.sample_many(1500)
-        assert_uniform([d.value for d in draws], population)
+        assert_uniform(sampler.sample_block(1500).values(acyclic_query), population)
 
     @pytest.mark.parametrize("weights", ["ew", "eo"])
     def test_cyclic_uniform_after_interleaved_updates(self, cyclic_query, weights):
         sampler = JoinSampler(cyclic_query, weights=weights, seed=103)
-        sampler.sample_many(100)
+        sampler.sample_block(100)
         self._churn_cyclic(cyclic_query)
         population = sorted(join_result_set(cyclic_query))
         assert population
-        draws = sampler.sample_many(1200)
-        assert_uniform([d.value for d in draws], population)
+        assert_uniform(sampler.sample_block(1200).values(cyclic_query), population)
 
     def test_scalar_path_agrees_after_updates(self, acyclic_query):
         sampler = JoinSampler(acyclic_query, weights="ew", seed=107)
-        sampler.try_sample()
+        try_sample(sampler)
         self._churn_acyclic(acyclic_query)
         population = join_result_set(acyclic_query)
-        draws = [sampler.try_sample() for _ in range(800)]
+        draws = [try_sample(sampler) for _ in range(800)]
         values = {d.value for d in draws if d is not None}
         assert values == population
 
     def test_stale_buffer_is_discarded(self, chain_query):
         sampler = JoinSampler(chain_query, weights="ew", seed=109, max_batch_size=64)
-        sampler.sample_batch(10)  # leaves surplus accepted draws buffered
-        assert sampler._block_buffer or sampler._draw_buffer
+        sampler.sample_block(10)  # leaves surplus accepted draws buffered
+        assert sampler._block_buffer
         chain_query.relation("S").delete_where(
             lambda row, schema: row[schema.position("b")] == 10
         )
         assert sampler.stale
-        draws = sampler.sample_many(50)
+        values = sampler.sample_block(50).values(chain_query)
         population = join_result_set(chain_query)
-        assert {d.value for d in draws} <= population
+        assert set(values) <= population
         assert not sampler.stale
 
     def test_wander_join_tracks_updates(self, chain_query):
         walker = WanderJoin(chain_query, seed=113)
-        walker.walks(200)
+        walker.walk_batch(200)
         chain_query.relation("S").append((20, 700))
         chain_query.relation("T").extend([(700, 12), (700, 13)])
         population = join_result_set(chain_query)
-        for walk in walker.walks(600):
+        for walk in walker.walk_batch(600):
             if walk.success:
                 assert walk.value in population
         estimate = walker.estimate_size(max_walks=4000)

@@ -9,6 +9,7 @@ from repro.relational.predicates import Comparison
 from repro.relational.relation import Relation
 from repro.sampling.join_sampler import JoinSampler
 
+from tests.join_oracle import sample as oracle_sample, try_sample
 from tests.stat_helpers import assert_uniform
 
 
@@ -17,19 +18,19 @@ class TestBasicSampling:
     def test_samples_are_members_of_the_join(self, chain_query, weights):
         sampler = JoinSampler(chain_query, weights=weights, seed=1)
         results = join_result_set(chain_query)
-        for draw in sampler.sample_many(50):
-            assert draw.value in results
+        for value in sampler.sample_block(50).values(chain_query):
+            assert value in results
 
     def test_sample_many_count(self, chain_query):
         sampler = JoinSampler(chain_query, seed=2)
-        assert len(sampler.sample_many(10)) == 10
+        assert len(sampler.sample_block(10)) == 10
         with pytest.raises(ValueError):
-            sampler.sample_many(-1)
+            sampler.sample_block(-1)
 
     def test_assignment_consistent_with_value(self, chain_query):
         sampler = JoinSampler(chain_query, seed=3)
-        draw = sampler.sample()
-        assert chain_query.project_assignment(draw.assignment) == draw.value
+        for draw in sampler.sample_block(5).to_draws(chain_query):
+            assert chain_query.project_assignment(draw.assignment) == draw.value
 
     def test_empty_join_raises(self):
         from tests.conftest import make_chain_query
@@ -37,7 +38,9 @@ class TestBasicSampling:
         query = make_chain_query("empty", r_rows=[(1, 99)], s_rows=[(10, 100)])
         sampler = JoinSampler(query, weights="ew", seed=0)
         with pytest.raises(RuntimeError):
-            sampler.sample(max_attempts=50)
+            sampler.sample_block(1, max_attempts=50)
+        with pytest.raises(RuntimeError):
+            oracle_sample(sampler, max_attempts=50)
 
     def test_size_bound_matches_weight_function(self, chain_query):
         ew = JoinSampler(chain_query, weights="ew", seed=0)
@@ -53,19 +56,28 @@ class TestUniformity:
     def test_chain_join_uniformity(self, chain_query, weights):
         sampler = JoinSampler(chain_query, weights=weights, seed=7)
         population = sorted(join_result_set(chain_query))
-        samples = [sampler.sample().value for _ in range(1200)]
+        samples = sampler.sample_block(1200).values(chain_query)
+        assert_uniform(samples, population)
+
+    @pytest.mark.parametrize("weights", ["ew", "eo"])
+    def test_chain_join_uniformity_scalar_oracle(self, chain_query, weights):
+        """The reference oracle the block path is checked against is itself
+        uniform (one accept/reject walk at a time)."""
+        sampler = JoinSampler(chain_query, weights=weights, seed=7)
+        population = sorted(join_result_set(chain_query))
+        samples = [oracle_sample(sampler).value for _ in range(1200)]
         assert_uniform(samples, population)
 
     def test_acyclic_join_uniformity(self, acyclic_query):
         sampler = JoinSampler(acyclic_query, weights="eo", seed=11)
         population = sorted(join_result_set(acyclic_query))
-        samples = [sampler.sample().value for _ in range(1000)]
+        samples = sampler.sample_block(1000).values(acyclic_query)
         assert_uniform(samples, population)
 
     def test_cyclic_join_uniformity(self, cyclic_query):
         sampler = JoinSampler(cyclic_query, weights="ew", seed=13)
         population = sorted(join_result_set(cyclic_query))
-        samples = [sampler.sample().value for _ in range(600)]
+        samples = sampler.sample_block(600).values(cyclic_query)
         assert_uniform(samples, population)
 
     def test_skewed_join_uniformity_with_eo(self):
@@ -77,27 +89,31 @@ class TestUniformity:
         query = make_chain_query("skewed", r_rows=r_rows, s_rows=s_rows)
         sampler = JoinSampler(query, weights="eo", seed=17)
         population = sorted(join_result_set(query))
-        samples = [sampler.sample().value for _ in range(1400)]
+        samples = sampler.sample_block(1400).values(query)
         assert_uniform(samples, population)
 
 
 class TestRejectionAccounting:
     def test_exact_weights_never_reject_on_weights(self, chain_query):
         sampler = JoinSampler(chain_query, weights="ew", seed=5)
-        sampler.sample_many(100)
+        sampler.sample_block(100)
         assert sampler.stats.rejected_weight == 0
         assert sampler.stats.acceptance_rate == 1.0
 
     def test_eo_acceptance_rate_close_to_size_over_bound(self, chain_query):
         sampler = JoinSampler(chain_query, weights="eo", seed=5)
-        sampler.sample_many(400)
+        sampler.sample_block(400)
         expected = 6.0 / sampler.size_bound
         assert sampler.stats.acceptance_rate == pytest.approx(expected, rel=0.25)
 
     def test_cyclic_rejections_counted_as_residual(self, cyclic_query):
         sampler = JoinSampler(cyclic_query, weights="ew", seed=5)
-        sampler.sample_many(100)
+        sampler.sample_block(100)
         assert sampler.stats.rejected_residual > 0
+        oracle = JoinSampler(cyclic_query, weights="ew", seed=5)
+        for _ in range(200):
+            try_sample(oracle)
+        assert oracle.stats.rejected_residual > 0
 
 
 class TestPredicateEnforcement:
@@ -118,14 +134,17 @@ class TestPredicateEnforcement:
         pushed = self._query(push_down=True)
         expected = join_result_set(pushed)
         sampler = JoinSampler(enforced, weights="ew", seed=23, enforce_predicates=True)
-        seen = {sampler.sample().value for _ in range(300)}
+        seen = set(sampler.sample_block(300).values(enforced))
         assert seen == expected
         assert sampler.stats.rejected_predicate > 0
+        oracle = JoinSampler(enforced, weights="ew", seed=23, enforce_predicates=True)
+        assert {oracle_sample(oracle).value for _ in range(100)} == expected
+        assert oracle.stats.rejected_predicate > 0
 
     def test_enforcement_disabled_samples_unfiltered_join(self):
         enforced = self._query(push_down=False)
         sampler = JoinSampler(enforced, weights="ew", seed=29, enforce_predicates=False)
-        seen = {sampler.sample().value for _ in range(300)}
+        seen = set(sampler.sample_block(300).values(enforced))
         assert (3, 100) in seen
 
 
@@ -135,34 +154,29 @@ class TestBatchEdgeCases:
     def test_count_zero_returns_empty_without_consuming_state(self, chain_query):
         sampler = JoinSampler(chain_query, seed=5)
         state_before = sampler.rng.bit_generator.state
-        assert sampler.sample_batch(0) == []
-        assert sampler.sample_many(0) == []
+        assert len(sampler.sample_block(0)) == 0
         assert sampler.rng.bit_generator.state == state_before
         assert sampler.stats.attempts == 0
 
     def test_count_zero_leaves_buffer_intact(self, chain_query):
         sampler = JoinSampler(chain_query, seed=5)
-        sampler.sample()  # fills the buffer with surplus accepted draws
-        buffered = len(sampler._draw_buffer) + sum(
-            len(b) for b in sampler._block_buffer
-        )
+        sampler.sample_block(1)  # fills the buffer with surplus accepted draws
+        buffered = sum(len(b) for b in sampler._block_buffer)
         assert buffered > 0
-        assert sampler.sample_batch(0) == []
-        assert len(sampler._draw_buffer) + sum(
-            len(b) for b in sampler._block_buffer
-        ) == buffered
+        assert len(sampler.sample_block(0)) == 0
+        assert sum(len(b) for b in sampler._block_buffer) == buffered
 
     def test_count_one(self, chain_query):
         sampler = JoinSampler(chain_query, seed=6)
-        draws = sampler.sample_batch(1)
-        assert len(draws) == 1
+        block = sampler.sample_block(1)
+        assert len(block) == 1 and len(block.to_draws(chain_query)) == 1
 
     def test_max_attempts_must_be_positive(self, chain_query):
         sampler = JoinSampler(chain_query, seed=7)
         with pytest.raises(ValueError, match="max_attempts"):
-            sampler.sample_batch(1, max_attempts=0)
+            sampler.sample_block(1, max_attempts=0)
         with pytest.raises(ValueError, match="max_attempts"):
-            sampler.sample_batch(1, max_attempts=-5)
+            sampler.sample_block(1, max_attempts=-5)
 
     def test_exhaustion_raises_and_sampler_stays_usable(self):
         from tests.conftest import make_chain_query
@@ -171,8 +185,8 @@ class TestBatchEdgeCases:
         sampler = JoinSampler(query, weights="ew", seed=0)
         for _ in range(2):  # a second call must fail identically, not corrupt
             with pytest.raises(RuntimeError, match="failed to accept"):
-                sampler.sample_batch(3, max_attempts=40)
-        assert sampler.pop_buffered() == []
+                sampler.sample_block(3, max_attempts=40)
+        assert sampler.pop_buffered_blocks() == []
 
     def test_exhaustion_preserves_accepted_draws_in_buffer(self, chain_query, monkeypatch):
         sampler = JoinSampler(chain_query, seed=8)
@@ -188,10 +202,10 @@ class TestBatchEdgeCases:
 
         monkeypatch.setattr(sampler, "_attempt_block", one_accept_then_dry)
         with pytest.raises(RuntimeError, match="failed to accept"):
-            sampler.sample_batch(5, max_attempts=100)
+            sampler.sample_block(5, max_attempts=100)
         # The accepted draw survived the failure and serves the next request.
-        preserved = sampler.pop_buffered()
-        assert len(preserved) == 1
+        preserved = sampler.pop_buffered_blocks()
+        assert sum(len(b) for b in preserved) == 1
 
 
 class TestSplitAndParallelism:
@@ -208,30 +222,32 @@ class TestSplitAndParallelism:
     def test_split_shards_draw_distinct_sequences(self, chain_query):
         sampler = JoinSampler(chain_query, seed=11)
         a, b = sampler.split(2)
-        draws_a = [d.value for d in a.sample_many(20)]
-        draws_b = [d.value for d in b.sample_many(20)]
+        draws_a = a.sample_block(20).values(chain_query)
+        draws_b = b.sample_block(20).values(chain_query)
         assert draws_a != draws_b  # aliased streams would repeat verbatim
 
     def test_parallel_sample_batch_is_deterministic(self, chain_query):
-        first = JoinSampler(chain_query, seed=13, parallelism=3)
-        second = JoinSampler(chain_query, seed=13, parallelism=3)
-        values = [d.value for d in first.sample_batch(30)]
-        assert values == [d.value for d in second.sample_batch(30)]
-        assert first.stats.accepted >= 30
+        """A fixed seed yields a fixed shard family (the parallel fan-out of
+        OnlineAggregator relies on it)."""
+        first = JoinSampler(chain_query, seed=13).split(3)
+        second = JoinSampler(chain_query, seed=13).split(3)
+        for a, b in zip(first, second):
+            assert a.sample_block(10).values(chain_query) == b.sample_block(10).values(
+                chain_query
+            )
+        assert all(shard.stats.accepted >= 10 for shard in first)
 
     def test_parallel_draws_are_join_members(self, chain_query):
         results = join_result_set(chain_query)
-        sampler = JoinSampler(chain_query, seed=13, parallelism=2)
-        for draw in sampler.sample_batch(40):
-            assert draw.value in results
+        for shard in JoinSampler(chain_query, seed=13).split(2):
+            assert set(shard.sample_block(20).values(chain_query)) <= results
 
     def test_parallel_batch_serves_parked_buffer_first(self, chain_query):
-        sampler = JoinSampler(chain_query, seed=15, parallelism=2)
+        shard = JoinSampler(chain_query, seed=15).split(2)[0]
         parked = JoinSampler(chain_query, seed=16).sample_block(3)
         parked.attempts = 0
-        sampler._block_buffer.append(parked)
+        shard._block_buffer.append(parked)
         expected = parked.values(chain_query)
-        draws = sampler.sample_batch(2)
-        assert [d.value for d in draws] == expected[:2]
+        assert shard.sample_block(2).values(chain_query) == expected[:2]
         # the third parked sample stays queued
-        assert sum(len(b) for b in sampler._block_buffer) == 1
+        assert sum(len(b) for b in shard._block_buffer) == 1

@@ -56,8 +56,8 @@ class TestFixtures:
     def test_epoch_rules(self):
         result = lint_fixture("bad_epoch.py")
         assert live_ids_and_lines(result) == [
-            ("EPOCH001", 13),  # sample() never refreshes
-            ("EPOCH002", 17),  # sample_batch() refreshes after first use
+            ("EPOCH001", 13),  # sample_block() never refreshes
+            ("EPOCH002", 17),  # pop_buffered_blocks() refreshes after first use
         ]
 
     def test_lock_rule(self):
@@ -90,6 +90,24 @@ class TestFixtures:
             ("RES001", 7),
             ("RES002", 12),
         ]
+
+    def test_stale_contract_rule(self, tmp_path):
+        # The rule holds real library files only: copied under src/repro/
+        # the fixture fires once per member its class lost...
+        target = tmp_path / "src" / "repro" / "stale_contract.py"
+        target.parent.mkdir(parents=True)
+        shutil.copy(FIXTURES / "stale_contract.py", target)
+        result = run_lint([str(target)])
+        assert live_ids_and_lines(result) == [
+            ("CONTRACT001", 11),  # LOCK_REGISTRY['Watchdog'] names stuck_seen
+            ("CONTRACT001", 25),  # EPOCH_REGISTRY['OnlineAggregator'] names step
+        ]
+        assert "`stuck_seen`" in result.live[0].message
+        assert "`step`" in result.live[1].message
+        # ...while the stand-in classes of the other fixtures, which mirror
+        # registered names with minimal bodies, are not held to it.
+        assert lint_fixture("stale_contract.py").findings == []
+        assert lint_fixture("good_clean.py").findings == []
 
     def test_contract_rules_require_library_paths(self):
         # Without assume_library a fixture path is not library code, so the
@@ -197,12 +215,20 @@ class TestScratchCopySeeding:
         path = _scratch_copy(tmp_path, "src/repro/sampling/join_sampler.py")
         text = path.read_text()
         mutated = text.replace(
-            "@_locked\n    def pop_buffered(self)",
-            "def pop_buffered(self)",
+            "@_locked\n    def pop_buffered_blocks(self)",
+            "def pop_buffered_blocks(self)",
         )
         assert mutated != text
         path.write_text(mutated)
         _assert_catches(path, "LOCK001")
+
+    def test_stale_contract_in_join_sampler_copy(self, tmp_path):
+        path = _scratch_copy(tmp_path, "src/repro/sampling/join_sampler.py")
+        text = path.read_text()
+        mutated = text.replace("def warm(self)", "def warm_up(self)")
+        assert mutated != text
+        path.write_text(mutated)
+        _assert_catches(path, "CONTRACT001")
 
     def test_merge_violation_in_service_copy(self, tmp_path):
         path = _scratch_copy(tmp_path, "src/repro/server/service.py")
@@ -244,7 +270,7 @@ class TestReporting:
         rule_ids = {rule["id"] for rule in document["rules"]}
         # Catalogue includes every checker family plus the meta rules.
         for rule_id in (
-            "RNG001", "EPOCH001", "LOCK001", "MERGE001",
+            "RNG001", "EPOCH001", "LOCK001", "CONTRACT001", "MERGE001",
             "DET001", "RES001", "SUP001", "PARSE001",
         ):
             assert rule_id in rule_ids

@@ -338,6 +338,46 @@ class TestOnlineAggregatorParallelism:
             )
 
 
+class TestFanOutBitIdentity:
+    """``OnlineAggregator(parallelism=3)`` answers are pinned per backend.
+
+    The digests were recorded before the join backend's shards moved from a
+    fan-out inside ``JoinSampler`` to the aggregator's own shard list (UQ1,
+    SF 0.001, data seed 3, aggregator seed 11, SUM(totalprice) GROUP BY
+    mktsegment until a 20% relative error): moving the fan-out must keep the
+    shard streams, the per-step quotas and the ingest order.
+    """
+
+    DIGESTS = {
+        "exact-weight": "13966bc3c25cde8c2e46b58b9458bea7cc558519d413c195e11bda1406cf6e91",
+        "olken": "051003c7c3273072584560b4fc6cf0cf7f2f878755ef31f156c328b8baee82d4",
+        "wander-join": "8cc62378e97f5171401151c55f41644df2f14fd3e8ad44862ba57155bf6dfd64",
+        "online-union": "e2915a744a26302d85d7161230f350cb59addf8b123cbca88a85ea35f2368cc8",
+    }
+
+    @pytest.fixture(scope="class")
+    def uq1(self):
+        from repro.tpch.workloads import build_uq1
+
+        return build_uq1(scale_factor=0.001, seed=3).queries
+
+    @pytest.mark.parametrize("method", sorted(DIGESTS))
+    def test_parallel_until_digest(self, uq1, method):
+        import hashlib
+        import json
+
+        from repro.aqp import OnlineAggregator
+        from repro.server.service import jsonify
+
+        queries = uq1[:3] if method == "online-union" else uq1[0]
+        spec = AggregateSpec("sum", attribute="totalprice", group_by="mktsegment")
+        report = OnlineAggregator(
+            queries, spec, method=method, seed=11, parallelism=3
+        ).until(0.2)
+        body = json.dumps(jsonify(report.to_dict()), sort_keys=True, default=repr)
+        assert hashlib.sha256(body.encode()).hexdigest() == self.DIGESTS[method]
+
+
 class TestPoolLifecycle:
     """Regression: the pool owns its spawned resources and reaps them.
 

@@ -1,7 +1,8 @@
 """Performance smoke gate for the batched sampling engine.
 
 A tiny-scale version of ``benchmarks/bench_micro.py`` wired into tier-1: the
-batched path must deliver at least the scalar reference path's throughput, so
+batched path must deliver at least the throughput of the scalar reference
+oracle (``tests/join_oracle.py``, one walk at a time), so
 a regression that silently disables the vectorized engine fails the test
 suite rather than only the (optional) benchmark run.  Thresholds are
 deliberately loose — the real speedup is recorded in
@@ -16,6 +17,8 @@ from repro.sampling.blocks import SampleBlock
 from repro.sampling.join_sampler import JoinSampler
 from repro.tpch.workloads import build_uq2
 
+from tests.join_oracle import try_sample
+
 SMOKE_SCALE = 0.0005
 SMOKE_SEED = 7
 
@@ -29,7 +32,7 @@ def _scalar_rate(sampler: JoinSampler, attempts: int) -> float:
     accepted = 0
     started = time.perf_counter()
     for _ in range(attempts):
-        if sampler.try_sample() is not None:
+        if try_sample(sampler) is not None:
             accepted += 1
     elapsed = time.perf_counter() - started
     assert accepted > 0, "scalar path accepted nothing; smoke workload broken"
@@ -38,7 +41,7 @@ def _scalar_rate(sampler: JoinSampler, attempts: int) -> float:
 
 def _batch_rate(sampler: JoinSampler, count: int) -> float:
     started = time.perf_counter()
-    draws = sampler.sample_batch(count)
+    draws = sampler.sample_block(count).to_draws(sampler.query)
     elapsed = time.perf_counter() - started
     assert len(draws) == count
     return count / elapsed
@@ -50,8 +53,8 @@ def test_batch_path_at_least_scalar_throughput(smoke_query, weights):
     batched = JoinSampler(smoke_query, weights=weights, seed=13)
     # Warm both paths so index/plan construction stays outside the timing.
     for _ in range(50):
-        scalar.try_sample()
-    batched.sample_batch(50)
+        try_sample(scalar)
+    batched.sample_block(50)
 
     scalar_rate = _scalar_rate(scalar, attempts=400)
     batch_rate = _batch_rate(batched, count=2000)
@@ -65,14 +68,18 @@ def test_batch_and_scalar_agree_on_acceptance(smoke_query):
     """Cross-check riding along with the smoke gate: both paths must see the
     same acceptance behaviour on the smoke workload (EW never rejects)."""
     sampler = JoinSampler(smoke_query, weights="ew", seed=17)
-    sampler.sample_batch(500)
+    sampler.sample_block(500)
     assert sampler.stats.acceptance_rate == pytest.approx(1.0)
+    oracle = JoinSampler(smoke_query, weights="ew", seed=17)
+    for _ in range(200):
+        try_sample(oracle)
+    assert oracle.stats.acceptance_rate == pytest.approx(1.0)
 
 
 def test_block_pipeline_at_least_boxed_throughput(smoke_query):
     """The zero-object aggregate pipeline must not regress below the boxed
-    path it replaced: sample_block -> ingest_block vs sample_batch ->
-    observe, same draws, same estimator state (the real margin — >= 2x on
+    path it replaced: sample_block -> ingest_block vs boxed draws
+    (SampleBlock.to_draws) -> observe, same draws, same estimator state (the real margin — >= 2x on
     the TPC-H workloads — is recorded in ``BENCH_pipeline.json``; the gate
     here is deliberately loose for noisy CI machines)."""
     from repro.aqp import AggregateAccumulator, AggregateSpec
@@ -83,12 +90,13 @@ def test_block_pipeline_at_least_boxed_throughput(smoke_query):
         sampler = JoinSampler(smoke_query, weights="ew", seed=19)
         accumulator = AggregateAccumulator(spec, smoke_query.output_schema)
         weight = sampler.weight_function.total_weight
-        sampler.sample_batch(50)
-        sampler.pop_buffered()
+        sampler.sample_block(50)
+        sampler.pop_buffered_blocks()
         started = time.perf_counter()
         before = sampler.stats.attempts
-        draws = sampler.sample_batch(count)
-        draws.extend(sampler.pop_buffered())
+        draws = sampler.sample_block(count).to_draws(smoke_query)
+        for surplus in sampler.pop_buffered_blocks():
+            draws.extend(surplus.to_draws(smoke_query))
         accumulator.observe(
             [d.value for d in draws],
             attempts=sampler.stats.attempts - before,

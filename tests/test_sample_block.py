@@ -1,9 +1,9 @@
 """The zero-object SampleBlock pipeline: block/batch equivalence end to end.
 
 The contract of the columnar pipeline is that boxing is a *view*: for a
-fixed seed, :meth:`JoinSampler.sample_block` and :meth:`JoinSampler.sample_batch`
-describe the identical draw sequence (pinned bit-exactly, Hypothesis-driven,
-under both EW and EO backends), and :meth:`AggregateAccumulator.ingest_block`
+fixed seed, :meth:`JoinSampler.sample_block` and its boxed form
+:meth:`SampleBlock.to_draws` describe the identical draw sequence (pinned
+bit-exactly, Hypothesis-driven, under both EW and EO backends), and :meth:`AggregateAccumulator.ingest_block`
 over block columns stores bit-identical estimator state to
 :meth:`AggregateAccumulator.observe` over the boxed equivalents — so the
 exactly-rounded merge law survives the zero-object rewiring, sequential and
@@ -48,10 +48,11 @@ def fresh_chain():
     weights=st.sampled_from(["ew", "eo"]),
 )
 def test_block_and_batch_are_bit_identical(seed, count, weights):
-    """Same seed ⇒ sample_block and sample_batch describe the same draws."""
+    """Same seed ⇒ a block and the boxed draws of a second sampler's block
+    describe the same draws."""
     query = fresh_chain()
     block = JoinSampler(query, weights=weights, seed=seed).sample_block(count)
-    draws = JoinSampler(query, weights=weights, seed=seed).sample_batch(count)
+    draws = JoinSampler(query, weights=weights, seed=seed).sample_block(count).to_draws(query)
     assert len(block) == count == len(draws)
     assert block.values(query) == [d.value for d in draws]
     for i, draw in enumerate(draws):
@@ -127,11 +128,38 @@ class TestSampleBlock:
         assert block.weight == sampler.weight_function.total_weight
 
     def test_parallel_block_concatenates_in_shard_order(self, chain_query):
-        first = JoinSampler(chain_query, seed=13, parallelism=3)
-        second = JoinSampler(chain_query, seed=13, parallelism=3)
-        assert first.sample_block(30).values(chain_query) == [
-            d.value for d in second.sample_batch(30)
-        ]
+        """An OnlineAggregator step with parallelism=3 ingests the split()
+        shards' main blocks in shard order, then their surpluses in shard
+        order — replayed here by hand from the same streams."""
+        from repro.aqp import OnlineAggregator
+        from repro.utils.rng import ensure_rng, spawn_rngs
+
+        spec = AggregateSpec("sum", attribute="c", group_by="a")
+        aggregator = OnlineAggregator(
+            chain_query, spec, method="exact-weight", seed=13, parallelism=3,
+            batch_size=64,
+        )
+        aggregator.step(30)
+
+        sampler_rng, _ = spawn_rngs(ensure_rng(13), 2)
+        shards = JoinSampler(
+            chain_query, weights="ew", seed=sampler_rng, max_batch_size=64
+        ).split(3)
+        blocks = [shard.sample_block(10) for shard in shards]
+        for shard in shards:
+            blocks.extend(shard.pop_buffered_blocks())
+        replay = AggregateAccumulator(spec, chain_query.output_schema)
+        merged = SampleBlock.concat(blocks)
+        replay.ingest_block(
+            merged.value_columns(chain_query),
+            attempts=sum(shard.stats.attempts for shard in shards),
+            weight=shards[0].weight_function.total_weight,
+        )
+        assert replay.estimate().estimates == aggregator.accumulator.estimate().estimates
+        # Contributions are kept in ingest order: the order itself must match.
+        assert {g: d.values for g, d in replay._groups.items()} == {
+            g: d.values for g, d in aggregator.accumulator._groups.items()
+        }
 
 
 class TestWanderWalkBlock:

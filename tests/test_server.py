@@ -119,6 +119,29 @@ class TestBitIdenticalConcurrency:
             assert response["result"]["warm"]
             assert response["result"]["report"]["accepted"] > 0
 
+    @pytest.mark.parametrize("method, digest", [
+        ("exact-weight", "0cc53ac2dc0d4f43de218b921771c2aee487a320543d11c385135e90cfa6874e"),
+        ("olken", "0633c50ea8c62d0a1eb22ded94df49934bba244eb9e3bccaee7a7b550deb5de5"),
+    ])
+    def test_workers_aggregate_digest(self, service, method, digest):
+        """A ``workers: 2`` aggregate fans out over aggregator shards; its
+        payload (minus the cost-model price) is pinned to the digest recorded
+        when the fan-out still lived inside ``JoinSampler``."""
+        import hashlib
+        import json
+
+        response = service.handle(
+            {"kind": "aggregate", "query": "UQ1_J1", "aggregate": "sum",
+             "attribute": "totalprice", "rel_error": 0.02, "method": method,
+             "workers": 2, "seed": 7}
+        )
+        assert response["ok"], response
+        result = dict(response["result"])
+        result.pop("priced_seconds")
+        assert not result["warm"]
+        body = json.dumps(result, sort_keys=True).encode()
+        assert hashlib.sha256(body).hexdigest() == digest
+
     def test_mixed_kinds_concurrently(self, service):
         name = service.workload.query_names[1]
         requests = [
@@ -470,13 +493,13 @@ class TestSharedSamplerConcurrency:
         sampler = JoinSampler(make_chain(), seed=11)
         per_thread = 120
         batches = run_concurrently(
-            lambda i: sampler.sample_batch(per_thread), 4
+            lambda i: sampler.sample_block(per_thread), 4
         )
         assert all(len(batch) == per_thread for batch in batches)
         valid = {(a, 10 * (a % 4) + j) for a in range(24) for j in range(3)}
         for batch in batches:
-            for draw in batch:
-                assert tuple(draw.value) in valid
+            for value in batch.values(sampler.query):
+                assert tuple(value) in valid
         assert sampler.stats.accepted >= 4 * per_thread
 
     def test_two_interleaved_until_runs(self):

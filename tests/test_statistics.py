@@ -1,6 +1,7 @@
 """Tests for repro.relational.statistics."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.relational.statistics import (
     ColumnStatistics,
@@ -45,6 +46,53 @@ class TestColumnStatistics:
         freq = stats.frequencies()
         freq[1] = 100
         assert stats.degree(1) == 1
+
+
+@st.composite
+def delta_sequences(draw):
+    """Initial column values plus a sequence of valid (removed, added) deltas.
+
+    Removals are drawn from the live multiset and are biased towards the
+    currently most frequent value, so deltas regularly shrink — and empty —
+    the value holding the maximum degree.
+    """
+    values = draw(st.lists(st.integers(0, 4), max_size=12))
+    live = list(values)
+    deltas = []
+    for _ in range(draw(st.integers(1, 8))):
+        removed = []
+        for _ in range(draw(st.integers(0, min(4, len(live))))):
+            top = max(set(live), key=live.count)
+            value = top if draw(st.booleans()) else draw(st.sampled_from(live))
+            live.remove(value)
+            removed.append(value)
+        added = draw(st.lists(st.integers(0, 4), max_size=4))
+        live.extend(added)
+        deltas.append((removed, added))
+    return values, deltas
+
+
+class TestMaxDegreeMaintenance:
+    @given(case=delta_sequences(), read_between=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_cached_max_degree_equals_recompute(self, case, read_between):
+        values, deltas = case
+        stats = ColumnStatistics.from_values("a", values)
+        assert stats.max_degree == max(stats.frequencies().values(), default=0)
+        for removed, added in deltas:
+            stats.apply_delta(removed, added)
+            if read_between:
+                assert stats.max_degree == max(stats.frequencies().values(), default=0)
+        assert stats.max_degree == max(stats.frequencies().values(), default=0)
+
+    def test_emptying_the_maximal_value(self):
+        stats = ColumnStatistics.from_values("a", [1, 1, 1, 2, 2])
+        assert stats.max_degree == 3
+        stats.apply_delta([1, 1, 1], [])
+        assert stats.degree(1) == 0
+        assert stats.max_degree == 2
+        stats.apply_delta([], [3, 3, 3, 3])
+        assert stats.max_degree == 4
 
 
 class TestEquiWidthHistogram:

@@ -7,6 +7,8 @@ import pytest
 from repro.joins.executor import exact_join_size, join_result_set
 from repro.sampling.wander_join import RunningEstimator, WanderJoin, z_value
 
+from tests.join_oracle import walk as oracle_walk
+
 
 class TestWalks:
     def test_walk_probability_matches_hand_computation(self, chain_query):
@@ -16,8 +18,9 @@ class TestWalks:
         r = chain_query.relation("R")
         s = chain_query.relation("S")
         t = chain_query.relation("T")
-        for _ in range(200):
-            walk = wj.walk()
+        oracle = WanderJoin(chain_query, seed=3)
+        walks = wj.walk_batch(200) + [oracle_walk(oracle) for _ in range(200)]
+        for walk in walks:
             if not walk.success:
                 continue
             assignment = walk.assignment
@@ -34,14 +37,14 @@ class TestWalks:
     def test_walk_values_are_join_members(self, acyclic_query):
         wj = WanderJoin(acyclic_query, seed=5)
         results = join_result_set(acyclic_query)
-        for walk in wj.walks(200):
+        for walk in wj.walk_batch(200):
             if walk.success:
                 assert walk.value in results
 
     def test_cyclic_walk_respects_residual(self, cyclic_query):
         wj = WanderJoin(cyclic_query, seed=7)
         results = join_result_set(cyclic_query)
-        successes = [w for w in wj.walks(400) if w.success]
+        successes = [w for w in wj.walk_batch(400) if w.success]
         assert successes, "expected at least one successful walk"
         for walk in successes:
             assert walk.value in results
@@ -51,7 +54,7 @@ class TestWalks:
 
         query = make_chain_query("sparse", r_rows=[(1, 10), (2, 99)], s_rows=[(10, 100)])
         wj = WanderJoin(query, seed=1)
-        failures = [w for w in wj.walks(100) if not w.success]
+        failures = [w for w in wj.walk_batch(100) if not w.success]
         assert failures
         assert all(w.inverse_probability == 0.0 for w in failures)
 
@@ -60,11 +63,12 @@ class TestWalks:
 
         query = make_chain_query("void", r_rows=[], s_rows=[(10, 100)])
         wj = WanderJoin(query, seed=1)
-        assert not wj.walk().success
+        assert not any(w.success for w in wj.walk_batch(5))
+        assert not oracle_walk(wj).success
 
     def test_negative_walk_count_rejected(self, chain_query):
         with pytest.raises(ValueError):
-            WanderJoin(chain_query, seed=0).walks(-1)
+            WanderJoin(chain_query, seed=0).walk_batch(-1)
 
 
 class TestSizeEstimation:
